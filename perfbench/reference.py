@@ -103,6 +103,12 @@ class Span:
         return False
 
 
+def boundary_rank(K, p: int, drop_bits: int = 0) -> int:
+    """Rank of the p-th boundary map with the columns in ``drop_bits`` removed."""
+    span = Span()
+    return sum(span.add(c) for j, c in enumerate(boundary_columns(K, p)) if not drop_bits >> j & 1)
+
+
 def solve_columns(cols: List[int], target: int) -> Optional[int]:
     """Some x (a bitset over column indices) with xor(cols[x]) == target."""
     pivots: Dict[int, Tuple[int, int]] = {}

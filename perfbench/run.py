@@ -3,8 +3,9 @@
     python3 perfbench/run.py --workload surface --seed 1 --seconds 20 --trace 0
 
 Run from the root of a source checkout; the library is imported from
-``src/``.  The op list is replayed in whole passes, one op at a time on
-one thread (closed loop, one client), until ``--seconds`` have passed.
+``src/``.  The set-up is repeated for a tenth of ``--seconds``; then the
+op list is replayed in whole passes, one op at a time on one thread
+(closed loop, one client), until ``--seconds`` have passed.
 Every output is checked against an independent reference on its first
 execution and for bit-identity with that output afterwards.  The last
 line of standard output is one JSON object: end-to-end metrics with
@@ -24,7 +25,8 @@ import time
 import traceback
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SETUP_REPEATS = 5
+SETUP_SHARE = 0.1  # share of --seconds spent repeating the set-up
+SETUP_MIN_REPEATS = 5
 
 
 def _percentile_with_tail(samples, tail=10):
@@ -90,30 +92,35 @@ class Runner:
         return ok
 
 
+def timed_setups(setup, seed: int, budget: float):
+    """Repeat the set-up until ``budget`` seconds and at least
+    SETUP_MIN_REPEATS set-ups have passed.  Returns the last set-up's
+    inputs and every set-up's time.  Each copy of the inputs is dropped
+    before the next is built, so only one is ever alive."""
+    times = []
+    start = time.perf_counter()
+    while True:
+        inputs = None
+        gc.collect()
+        t0 = time.perf_counter()
+        inputs = setup(seed)
+        times.append(time.perf_counter() - t0)
+        if len(times) >= SETUP_MIN_REPEATS and time.perf_counter() - start >= budget:
+            return inputs, times
+
+
 def end_to_end(workload, seed: int, seconds: float):
     from workloads import WORKLOADS, digest
     from reference import CheckFailed
 
     setup, plan = WORKLOADS[workload]
-    setup_times = []
-
-    def timed_setup():
-        gc.collect()
-        t0 = time.perf_counter()
-        inputs = setup(seed)
-        setup_times.append(time.perf_counter() - t0)
-        return inputs
-
-    runner = Runner(plan(timed_setup()), digest, CheckFailed)
     start = time.perf_counter()
+    inputs, setup_times = timed_setups(setup, seed, SETUP_SHARE * seconds)
+    runner = Runner(plan(inputs), digest, CheckFailed)
     passes = 0
     while passes == 0 or time.perf_counter() - start < seconds:
         runner.run_pass()
         passes += 1
-        if len(setup_times) < SETUP_REPEATS:  # spread the repeats over the run
-            timed_setup()
-    while len(setup_times) < SETUP_REPEATS:
-        timed_setup()
     # An op's latency is its median over the passes: other tenants of the
     # machine slow it in bursts, and the median follows the usual state.
     # Ranking one value per op keeps the same ops at each rank whatever
@@ -130,7 +137,7 @@ def end_to_end(workload, seed: int, seconds: float):
     notes = {
         "latency_tail_ms": f"p{pct:.1f} of {len(per_op)} ops",
         "ops_per_s": f"{len(per_op)} ops in the list, {passes} passes, median pass per op",
-        "setup_s": f"median of {SETUP_REPEATS} set-ups",
+        "setup_s": f"median of {len(setup_times)} set-ups",
     }
     fail_ratio = runner.failed / runner.attempted
     print(f"{workload:8s} {'fail_ratio':16s} {fail_ratio:14.6g} {'ratio':6s} ({runner.failed}/{runner.attempted} ops)")

@@ -5,6 +5,7 @@
     python3 perfbench/runs.py report perfbench/runs/base.jsonl new.jsonl # two sets
 
 ``collect`` runs ``run.py`` once per (workload, seed), one run at a time,
+for every workload and for ``run_seconds`` as BENCHMARK.json gives them,
 and appends one JSON line per run.  ``report`` prints one row per
 (metric, workload): each set's median and quartiles, the spread
 (interquartile range over median), and for two sets the change and a
@@ -40,15 +41,13 @@ def parse_seeds(text: str):
 
 def collect(args) -> int:
     spec = load_spec()
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
     failures = 0
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "a") as out:
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             for seed in parse_seeds(args.seeds):
                 cmd = [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload,
-                       "--seed", str(seed), "--seconds", str(seconds), "--trace", str(args.trace)]
+                       "--seed", str(seed), "--seconds", str(spec["run_seconds"]), "--trace", str(args.trace)]
                 proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
                 lines = proc.stdout.strip().splitlines()
                 if proc.returncode != 0 or not lines:
@@ -143,8 +142,6 @@ def main(argv=None) -> int:
     c = sub.add_parser("collect", help="run the benchmark over seeds, append JSON lines")
     c.add_argument("--out", required=True)
     c.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 1,4,9")
-    c.add_argument("--workloads", default="", help="comma-separated; default all")
-    c.add_argument("--seconds", type=int, default=0, help="default: run_seconds of BENCHMARK.json")
     c.add_argument("--trace", type=int, choices=(0, 1), default=0)
     r = sub.add_parser("report", help="spread of one set, or comparison of two")
     r.add_argument("files", nargs="+")

@@ -440,11 +440,14 @@ def bigrank_plan(inputs) -> List[Op]:
             run = global_rand.RandomizedRun(seed, GLOBAL_TRIALS)
             return global_rand.solve_global_bnt(T, 1, seed, trials=GLOBAL_TRIALS, run=run), run.records
 
-        def check_global(out):
+        def check_global(out, T=T):
             sol, records = out
             require(len(records) == GLOBAL_TRIALS, "wrong trial count")
+            require(sol is not None and sol.dimension == 2, "global BNT gave no set of triangles")
             # any two triangles of a torus drop rank d_2 by one; one never does
-            require(sol is not None and len(sol) == EXPECTED["torus.global_bnt_opt"], "global BNT size is not 2")
+            require(len(sol) == EXPECTED["torus.global_bnt_opt"], "global BNT size is not 2")
+            require(ref.boundary_rank(T, 2, sol.support.bits) < ref.boundary_rank(T, 2),
+                    "global BNT set does not lower the rank of d_2")
 
         ops.append(Op(f"global-bnt torus{n}", global_bnt, check_global))
     return ops
