@@ -33,10 +33,8 @@ EXPECTED = {
     "csaszar-torus.ths_opt": 6,
     # Unit-weight THS optimum of the canonical cycle on the genus-2 surface.
     "genus-2.ths_opt": 6,
-    # THS optima of the canonical cycles of small canonical complexes.
+    # THS optimum of the canonical cycle of the planar-holes complex.
     "planar-holes.ths_opt": 3,
-    "annulus.ths_opt": 3,
-    "component-graph.ths_opt": 4,
     # THS optimum on the k2-edge gadget (m = 6); no hitting set of size 3.
     "ths-gadget.k2-edge.opt": 4,
     # Global THS optimum on the Csaszar torus.

@@ -3,9 +3,11 @@
     python3 perfbench/run.py --workload surface --seed 1 --seconds 20 --trace 0
 
 Run from the root of a source checkout; the library is imported from
-``src/``.  The set-up is repeated for a tenth of ``--seconds``; then the
-op list is replayed in whole passes, one op at a time on one thread
-(closed loop, one client), until ``--seconds`` have passed.
+``src/``.  The set-up is repeated for a twentieth of ``--seconds``; then
+the op list is replayed in whole passes, one op at a time on one thread
+(closed loop, one client), as long as the next pass, taken to last as
+long as the previous one, still leaves time to repeat the set-up as long
+again before ``--seconds`` have passed.
 Every output is checked against an independent reference on its first
 execution and for bit-identity with that output afterwards.  The last
 line of standard output is one JSON object: end-to-end metrics with
@@ -25,8 +27,13 @@ import time
 import traceback
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SETUP_SHARE = 0.1  # share of --seconds spent repeating the set-up
+SETUP_SHARE = 0.05  # share of --seconds spent repeating the set-up, at each end of the run
 SETUP_MIN_REPEATS = 5
+# An op that took less than this on the first pass runs this long, back
+# to back, in each later pass: a few-millisecond op timed once per pass
+# would give a handful of samples, each at the mercy of a short burst of
+# other work on the machine.
+OP_MIN_SECONDS = 0.05
 
 
 def _percentile_with_tail(samples, tail=10):
@@ -46,25 +53,31 @@ class Runner:
         self.check_failed = check_failed
         self.first = [None] * len(ops)  # (ok, digest) of each op's first output
         self.samples = [[] for _ in ops]
+        self.repeats = [1] * len(ops)  # executions of each op per pass
         self.attempted = 0
         self.failed = 0
+
+    def repeat_cheap_ops(self) -> None:
+        """After the first pass: give each op about OP_MIN_SECONDS per pass."""
+        self.repeats = [max(1, int(OP_MIN_SECONDS / max(s[0], 1e-6))) for s in self.samples]
 
     def run_pass(self) -> float:
         """One pass over the op list; returns the summed op latency."""
         gc.collect()
         total = 0.0
         for i, op in enumerate(self.ops):
-            t0 = time.perf_counter()
-            try:
-                out, err = op.call(), None
-            except Exception as exc:  # any error, ResourceError included, fails the op
-                out, err = None, exc
-            dt = time.perf_counter() - t0
-            total += dt
-            self.samples[i].append(dt)
-            self.attempted += 1
-            if not self._ok(i, op, out, err):
-                self.failed += 1
+            for _ in range(self.repeats[i]):
+                t0 = time.perf_counter()
+                try:
+                    out, err = op.call(), None
+                except Exception as exc:  # any error, ResourceError included, fails the op
+                    out, err = None, exc
+                dt = time.perf_counter() - t0
+                total += dt
+                self.samples[i].append(dt)
+                self.attempted += 1
+                if not self._ok(i, op, out, err):
+                    self.failed += 1
         return total
 
     def _ok(self, i, op, out, err) -> bool:
@@ -116,15 +129,25 @@ def end_to_end(workload, seed: int, seconds: float):
     setup, plan = WORKLOADS[workload]
     start = time.perf_counter()
     inputs, setup_times = timed_setups(setup, seed, SETUP_SHARE * seconds)
+    reserve = time.perf_counter() - start
     runner = Runner(plan(inputs), digest, CheckFailed)
-    passes = 0
-    while passes == 0 or time.perf_counter() - start < seconds:
-        runner.run_pass()
+    del inputs
+    passes, busy = 0, 0.0
+    while passes == 0 or time.perf_counter() - start + busy + reserve <= seconds:
+        busy = runner.run_pass()
+        if passes == 0:
+            runner.repeat_cheap_ops()
         passes += 1
-    # An op's latency is its median over the passes: other tenants of the
+    # Set-up time is sampled at both ends of the run, so that a slow or
+    # fast spell of the machine at the start does not set it alone.  The
+    # op list, and with it the inputs, is dropped first: only one copy of
+    # the inputs is ever alive.
+    runner.ops = None
+    setup_times += timed_setups(setup, seed, SETUP_SHARE * seconds)[1]
+    # An op's latency is the median of its executions: other tenants of the
     # machine slow it in bursts, and the median follows the usual state.
     # Ranking one value per op keeps the same ops at each rank whatever
-    # the number of passes.
+    # the number of passes and repeats.
     per_op = [statistics.median(s) for s in runner.samples]
     tail, pct = _percentile_with_tail(per_op)
     metrics = {
@@ -136,7 +159,7 @@ def end_to_end(workload, seed: int, seconds: float):
     }
     notes = {
         "latency_tail_ms": f"p{pct:.1f} of {len(per_op)} ops",
-        "ops_per_s": f"{len(per_op)} ops in the list, {passes} passes, median pass per op",
+        "ops_per_s": f"{len(per_op)} ops in the list, {passes} passes, {sum(runner.repeats)} executions a pass after the first",
         "setup_s": f"median of {len(setup_times)} set-ups",
     }
     fail_ratio = runner.failed / runner.attempted
@@ -157,11 +180,11 @@ def traced(workload, seed: int, seconds: float):
     setup_wall = time.perf_counter() - t0
     setup_raw = dict(tracer.raw)
     runner = Runner(plan(inputs), digest, CheckFailed)
-    # untraced and traced passes alternate; the first untraced pass also
+    # untraced and traced passes alternate, each op once a pass so that
+    # the counts do not depend on timing; the first untraced pass also
     # fixes the outputs that every traced pass must reproduce bit for bit
-    t0 = time.perf_counter()
     untraced, passes = [], []
-    while not passes or time.perf_counter() - t0 < seconds:
+    while not passes or time.perf_counter() - t0 + untraced[-1] + passes[-1][0] <= seconds:
         untraced.append(runner.run_pass())
         tracer.reset()
         with tracer.installed():
