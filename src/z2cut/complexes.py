@@ -10,6 +10,7 @@ matrices serialize stably.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -99,8 +100,8 @@ class Complex:
                 e = _check_simplex(e)
                 if e not in self.index[1]:
                     raise InputError(f"weight given for non-edge {e}")
-                if w < 0:
-                    raise InputError(f"negative weight on edge {e}")
+                if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 < w < math.inf:
+                    raise InputError(f"weight on edge {e} must be a positive finite number, got {w!r}")
                 self.weights[e] = w
 
     def n(self, p: int) -> int:

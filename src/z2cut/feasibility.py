@@ -1,25 +1,40 @@
 """Polynomial-time verifiers for both cut problems and their global variants.
 
-The hitting-set check reduces to one column-space membership test: collect a
-homology basis of the complex with S's closure removed, lift it back, and
-ask whether zeta lies in the span of those cycles together with the
-boundaries.  If it does, some surviving cycle is homologous to zeta and S
-misses it.
+Each question about a candidate set S is a rank test on the |S| rows that
+S selects; P_S below keeps the coordinates in S.  With ∂ = ∂_{r+1},
+B = colspace ∂ the r-boundaries and Z = Z_r the r-cycles:
+
+- THS.  A cycle homologous to zeta is zeta + ∂y, and it avoids S exactly
+  when (∂y)|_S = zeta|_S.  So S meets every such cycle iff
+  zeta|_S ∉ colspace(P_S ∂).
+- Global THS.  H_r(K_S) -> H_r(K) is onto iff every cycle is homologous
+  to one avoiding S.  The map Z -> P_S Z / P_S B has kernel Z(K_S) + B,
+  so the induced map misses a class iff rank(P_S Z) > rank(P_S ∂).
+- BNT.  The chains with boundary zeta are x0 + ker ∂ for one preimage
+  x0, so removing S leaves none iff x0|_S ∉ colspace(P_S ker ∂).
+- Global BNT.  Dropping the columns in S from ∂ loses
+  |S| - rank(P_S ker ∂) of its rank, so the boundary space shrinks iff
+  rank(P_S ker ∂) < |S|.
+
+A :class:`CutInstance` validates its input and builds these matrices once,
+stored by row, and then answers any number of sets; the four public
+verifiers are one-set wrappers around it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .complexes import Chain, Complex, remove_closure
-from .errors import InputError, InternalError
-from .gf2 import GF2Matrix, in_colspace, rank, relative_rank, solve
-from .homology import _boundary_or_zero, betti, homology_basis
+from .complexes import Chain, Complex, boundary_matrix
+from .errors import InputError
+from .gf2 import GF2Matrix, in_colspace, kernel_basis, solve
+from .homology import _bit_indices, _boundary_or_zero
 
 __all__ = [
     "FeasibilityReport",
+    "CutInstance",
     "is_ths_feasible",
     "is_bnt_feasible",
     "is_global_ths_solution",
@@ -39,113 +54,161 @@ class FeasibilityReport:
 
 
 def _require_cycle(K: Complex, zeta: Chain) -> None:
-    from .complexes import boundary_matrix
-
     d = boundary_matrix(K, zeta.dimension)
     if d.matvec(zeta.support).bits != 0:
         raise InputError("input chain is not a cycle")
 
 
 def _require_nonbounding(K: Complex, zeta: Chain) -> None:
-    _require_cycle(K, zeta)
-    B = _boundary_or_zero(K, zeta.dimension + 1)
-    if in_colspace(B, zeta.support):
-        raise InputError("input cycle bounds; a non-bounding cycle is required")
+    CutInstance.for_ths(K, zeta)
 
 
-def _lift(K: Complex, KS: Complex, mapping: Dict[int, Dict[int, int]], c: Chain) -> int:
-    """Re-index a K_S chain's support bits into K's index space."""
-    inv = {new: old for old, new in mapping[c.dimension].items()}
-    bits, out = c.support.bits, 0
-    while bits:
-        i = (bits & -bits).bit_length() - 1
-        out |= 1 << inv[i]
-        bits &= bits - 1
-    return out
+def _require_set(K: Complex, S: Chain, dimension: int, what: str) -> None:
+    if S.dimension != dimension:
+        raise InputError(what)
+    if S.support.length != K.n(dimension):
+        raise InputError("solution set does not belong to this complex")
+
+
+def _rows(M: GF2Matrix) -> List[int]:
+    """M stored by row: bit j of row i is entry (i, j)."""
+    rows = [0] * M.nrows
+    for j, col in enumerate(M.cols):
+        while col:
+            i = (col & -col).bit_length() - 1
+            rows[i] |= 1 << j
+            col &= col - 1
+    return rows
+
+
+def _augment(rows: List[int], target: int) -> List[int]:
+    """Each row shifted up one bit, with the target's coordinate as bit 0."""
+    return [(row << 1) | ((target >> i) & 1) for i, row in enumerate(rows)]
+
+
+def _row_echelon(rows: List[int], S: Iterable[int]) -> Dict[int, int]:
+    """Echelon basis of the rows indexed by S, keyed by leading (highest) bit.
+
+    For augmented rows, key 0 is present iff the target column is outside
+    the span of the others restricted to S.
+    """
+    pivots: Dict[int, int] = {}
+    for i in S:
+        row = rows[i]
+        while row:
+            lead = row.bit_length() - 1
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = row
+                break
+            row ^= p
+    return pivots
+
+
+class CutInstance:
+    """The cut questions on one complex in one dimension r.
+
+    ``CutInstance(K, r)`` answers the two global questions; :meth:`for_ths`
+    and :meth:`for_bnt` build the instance for one r-cycle zeta, checked
+    once to be non-bounding, respectively bounding, and also answer
+    :meth:`cut`.  A set is an iterable of simplex indices: r-simplices for
+    THS, (r+1)-simplices for BNT.  Each matrix is built on first use and
+    kept, stored by row.
+    """
+
+    __slots__ = ("K", "r", "boundary", "_augmented", "_bd_rows", "_cycle_rows", "_ker_rows")
+
+    def __init__(self, K: Complex, r: int) -> None:
+        self.K = K
+        self.r = r
+        self.boundary = _boundary_or_zero(K, r + 1)
+        # rows of [∂ | zeta] (for_ths) or [ker ∂ | x0] (for_bnt), the last column as bit 0
+        self._augmented: List[int] = []
+        self._bd_rows: Optional[List[int]] = None
+        self._cycle_rows: Optional[List[int]] = None
+        self._ker_rows: Optional[List[int]] = None
+
+    @classmethod
+    def for_ths(cls, K: Complex, zeta: Chain) -> "CutInstance":
+        inst = cls(K, zeta.dimension)
+        _require_cycle(K, zeta)
+        if in_colspace(inst.boundary, zeta.support):
+            raise InputError("input cycle bounds; a non-bounding cycle is required")
+        inst._augmented = _augment(_rows(inst.boundary), zeta.support.bits)
+        return inst
+
+    @classmethod
+    def for_bnt(cls, K: Complex, zeta: Chain) -> "CutInstance":
+        inst = cls(K, zeta.dimension)
+        x0 = solve(inst.boundary, zeta.support)
+        if x0 is None:
+            raise InputError("input cycle does not bound; a bounding cycle is required")
+        inst._augmented = _augment(_rows(kernel_basis(inst.boundary)), x0.bits)
+        return inst
+
+    def cut(self, S: Iterable[int]) -> Tuple[bool, Dict[str, int]]:
+        """Is S a cut, and the ranks that decide it.
+
+        From :meth:`for_ths`: does S meet every cycle homologous to zeta,
+        i.e. zeta|_S ∉ colspace(P_S ∂).  From :meth:`for_bnt`: does removing
+        S leave zeta non-bounding, i.e. x0|_S ∉ colspace(P_S ker ∂).  The
+        ranks are those of P_S M and of [P_S M | target|_S].
+        """
+        S = list(S)
+        pivots = _row_echelon(self._augmented, S)
+        verdict = 0 in pivots
+        return verdict, {"size_S": len(S), "rank_S": len(pivots) - verdict, "rank_augmented_S": len(pivots)}
+
+    def global_ths(self, S: Iterable[int]) -> Tuple[bool, Dict[str, int]]:
+        """Does H_r(K_S) -> H_r(K) miss a class: rank P_S Z_r > rank P_S ∂_{r+1}."""
+        if self._cycle_rows is None:
+            self._cycle_rows = _rows(kernel_basis(boundary_matrix(self.K, self.r)))
+            self._bd_rows = _rows(self.boundary)
+        S = list(S)
+        rank_cycles = len(_row_echelon(self._cycle_rows, S))
+        rank_boundary = len(_row_echelon(self._bd_rows, S))
+        return rank_cycles > rank_boundary, {
+            "size_S": len(S),
+            "rank_cycles_S": rank_cycles,
+            "rank_boundary_S": rank_boundary,
+        }
+
+    def global_bnt(self, S: Iterable[int]) -> Tuple[bool, Dict[str, int]]:
+        """Does removing S lower rank ∂_{r+1}: rank P_S ker ∂_{r+1} < |S|."""
+        if self._ker_rows is None:
+            self._ker_rows = _rows(kernel_basis(self.boundary))
+        S = list(S)
+        rank_kernel = len(_row_echelon(self._ker_rows, S))
+        return rank_kernel < len(S), {"size_S": len(S), "rank_kernel_S": rank_kernel}
+
+
+def _report(method: str, t0: float, answer: Tuple[bool, Dict[str, int]]) -> FeasibilityReport:
+    return FeasibilityReport(answer[0], method, answer[1], time.perf_counter() - t0)
 
 
 def is_ths_feasible(K: Complex, zeta: Chain, S: Chain) -> FeasibilityReport:
-    """Does S meet every cycle homologous to zeta?
-
-    True iff zeta is outside the span of (surviving homology basis cycles,
-    lifted) and the boundaries of K.
-    """
+    """Does S meet every cycle homologous to zeta?"""
     t0 = time.perf_counter()
-    r = zeta.dimension
-    if S.dimension != r:
-        raise InputError("solution set must consist of simplices of zeta's dimension")
-    _require_nonbounding(K, zeta)
-    KS, mapping = remove_closure(K, S)
-    hb = homology_basis(KS, r)
-    lifted = [_lift(K, KS, mapping, c) for c in hb.cycles]
-    B = _boundary_or_zero(K, r + 1)
-    M = GF2Matrix(K.n(r), lifted + B.cols)
-    verdict = not in_colspace(M, zeta.support)
-    return FeasibilityReport(
-        verdict,
-        "surviving-basis-colspace",
-        {"beta_KS": len(lifted), "rank_M": rank(M)},
-        time.perf_counter() - t0,
-    )
+    _require_set(K, S, zeta.dimension, "solution set must consist of simplices of zeta's dimension")
+    return _report("projected-boundary-colspace", t0, CutInstance.for_ths(K, zeta).cut(_bit_indices(S.support.bits)))
 
 
 def is_bnt_feasible(K: Complex, zeta: Chain, S: Chain) -> FeasibilityReport:
     """Does removing S in dimension r+1 make zeta non-bounding?"""
     t0 = time.perf_counter()
-    r = zeta.dimension
-    if S.dimension != r + 1:
-        raise InputError("solution set must consist of (r+1)-simplices")
-    B = _boundary_or_zero(K, r + 1)
-    if solve(B, zeta.support) is None:
-        raise InputError("input cycle does not bound; a bounding cycle is required")
-    kept = [c for i, c in enumerate(B.cols) if not S.support.get(i)]
-    BS = GF2Matrix(K.n(r), kept)
-    verdict = solve(BS, zeta.support) is None
-    return FeasibilityReport(
-        verdict,
-        "restricted-solve",
-        {"rank_full": rank(B), "rank_rest": rank(BS)},
-        time.perf_counter() - t0,
-    )
+    _require_set(K, S, zeta.dimension + 1, "solution set must consist of (r+1)-simplices")
+    return _report("projected-kernel-colspace", t0, CutInstance.for_bnt(K, zeta).cut(_bit_indices(S.support.bits)))
 
 
 def is_global_ths_solution(K: Complex, r: int, S: Chain) -> FeasibilityReport:
     """Is the inclusion-induced map H_r(K_S) -> H_r(K) non-surjective?"""
     t0 = time.perf_counter()
-    if S.dimension != r:
-        raise InputError("solution set must consist of r-simplices")
-    beta = betti(K, r)
-    KS, mapping = remove_closure(K, S)
-    hb = homology_basis(KS, r)
-    lifted = [_lift(K, KS, mapping, c) for c in hb.cycles]
-    B = _boundary_or_zero(K, r + 1)
-    image_dim = relative_rank(B, GF2Matrix(K.n(r), lifted))
-    verdict = image_dim < beta
-    if len(hb) < beta and not verdict:
-        raise InternalError("fewer surviving classes yet surjective image")
-    return FeasibilityReport(
-        verdict,
-        "image-rank",
-        {"beta_K": beta, "beta_KS": len(hb), "image_dim": image_dim},
-        time.perf_counter() - t0,
-    )
+    _require_set(K, S, r, "solution set must consist of r-simplices")
+    return _report("projected-cycle-rank", t0, CutInstance(K, r).global_ths(_bit_indices(S.support.bits)))
 
 
 def is_global_bnt_solution(K: Complex, r: int, S: Chain) -> FeasibilityReport:
     """Does removing S strictly shrink the boundary space in dimension r?"""
     t0 = time.perf_counter()
-    if S.dimension != r + 1:
-        raise InputError("solution set must consist of (r+1)-simplices")
-    B = _boundary_or_zero(K, r + 1)
-    kept = [c for i, c in enumerate(B.cols) if not S.support.get(i)]
-    BS = GF2Matrix(K.n(r), kept)
-    full, rest = rank(B), rank(BS)
-    if relative_rank(B, BS) != 0:
-        raise InternalError("restricted boundary space escaped the full one")
-    verdict = rest < full
-    return FeasibilityReport(
-        verdict,
-        "boundary-rank-drop",
-        {"rank_full": full, "rank_rest": rest},
-        time.perf_counter() - t0,
-    )
+    _require_set(K, S, r + 1, "solution set must consist of (r+1)-simplices")
+    return _report("projected-kernel-rank", t0, CutInstance(K, r).global_bnt(_bit_indices(S.support.bits)))

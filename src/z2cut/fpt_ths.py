@@ -3,7 +3,9 @@
 Minimal solutions induce connected subgraphs of the share-a-cofacet
 adjacency, and lie within adjacency-distance k of each of their members;
 so for every r-simplex we enumerate the connected supersets of size at
-most k inside its radius-k ball and keep the best feasible one.
+most k inside its radius-k ball and keep the best feasible one.  Every
+candidate is tested against one ``CutInstance`` built per solve, a rank
+test on at most k rows.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Set, Tuple
 
 from .complexes import Chain, Complex, r_adjacency
-from .errors import InputError
-from .feasibility import is_ths_feasible
+from .errors import InputError, InternalError
+from .feasibility import CutInstance, is_ths_feasible
 
 __all__ = ["FPTConfig", "enumerate_connected_sets", "solve_ths_fpt"]
 
@@ -22,8 +24,6 @@ __all__ = ["FPTConfig", "enumerate_connected_sets", "solve_ths_fpt"]
 @dataclass
 class FPTConfig:
     k: int = 1
-    parallel: bool = False
-    count_all: bool = False
     stats: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -78,6 +78,7 @@ def solve_ths_fpt(K: Complex, zeta: Chain, config: FPTConfig) -> Optional[Chain]
     """
     r = zeta.dimension
     k = config.k
+    inst = CutInstance.for_ths(K, zeta)
     adj = r_adjacency(K, r)
     seen: Set[frozenset] = set()
     best: Optional[Tuple[int, Tuple[int, ...]]] = None
@@ -94,11 +95,7 @@ def solve_ths_fpt(K: Complex, zeta: Chain, config: FPTConfig) -> Optional[Chain]
             key = (len(cand), tuple(sorted(cand)))
             if best is not None and key >= best:
                 continue
-            bits = 0
-            for i in cand:
-                bits |= 1 << i
-            S = K.chain_from_bits(r, bits)
-            if is_ths_feasible(K, zeta, S).verdict:
+            if inst.cut(cand)[0]:
                 config.stats["feasible"] += 1
                 best = key
         config.stats["candidates"] += per_center
@@ -108,4 +105,7 @@ def solve_ths_fpt(K: Complex, zeta: Chain, config: FPTConfig) -> Optional[Chain]
     bits = 0
     for i in best[1]:
         bits |= 1 << i
-    return K.chain_from_bits(r, bits)
+    S = K.chain_from_bits(r, bits)
+    if not is_ths_feasible(K, zeta, S).verdict:
+        raise InternalError("best candidate failed the feasibility check")
+    return S

@@ -15,10 +15,10 @@ from typing import List, Optional
 from .bnt_greedy import solve_bnt_greedy
 from .complexes import Chain, Complex
 from .errors import InputError
-from .feasibility import is_global_bnt_solution, is_global_ths_solution
+from .feasibility import CutInstance
 from .fpt_ths import FPTConfig, solve_ths_fpt
-from .gf2 import GF2Vector, column_space_pivots
-from .homology import _boundary_or_zero, homology_basis
+from .gf2 import GF2Matrix, GF2Vector, column_space_pivots
+from .homology import HomologyBasis, _bit_indices, _boundary_or_zero, homology_basis
 
 __all__ = [
     "RandomizedRun",
@@ -66,20 +66,21 @@ class RandomizedRun:
     records: List[dict] = field(default_factory=list)
 
 
-def random_nontrivial_cycle(K: Complex, r: int, seed: int) -> Chain:
-    """B·x for uniform nonzero x over the homology basis matrix B."""
-    hb = homology_basis(K, r)
+def _draw_class(hb: HomologyBasis, seed: int) -> Chain:
     if len(hb) == 0:
-        raise InputError(f"beta_{r} = 0: no nontrivial class to draw")
+        raise InputError(f"beta_{hb.dimension} = 0: no nontrivial class to draw")
     rng = splitmix64(seed)
     bits = _random_nonzero_bits(len(hb), rng)
     return hb.combine(GF2Vector(len(hb), bits))
 
 
-def random_bounding_cycle(K: Complex, r: int, seed: int) -> Chain:
-    """Uniform nonzero combination of a boundary-space basis."""
-    B = _boundary_or_zero(K, r + 1)
-    pivots = column_space_pivots(B)
+def random_nontrivial_cycle(K: Complex, r: int, seed: int) -> Chain:
+    """B·x for uniform nonzero x over the homology basis matrix B."""
+    return _draw_class(homology_basis(K, r), seed)
+
+
+def _draw_bounding(K: Complex, r: int, B: GF2Matrix, pivots: List[int], seed: int) -> Chain:
+    """Uniform nonzero combination of the columns of B at ``pivots``."""
     if not pivots:
         raise InputError("boundary space is zero; no bounding cycle to draw")
     rng = splitmix64(seed)
@@ -91,6 +92,12 @@ def random_bounding_cycle(K: Complex, r: int, seed: int) -> Chain:
     return K.chain_from_bits(r, acc)
 
 
+def random_bounding_cycle(K: Complex, r: int, seed: int) -> Chain:
+    """Uniform nonzero combination of a boundary-space basis."""
+    B = _boundary_or_zero(K, r + 1)
+    return _draw_bounding(K, r, B, column_space_pivots(B), seed)
+
+
 def solve_global_ths(
     K: Complex,
     r: int,
@@ -100,11 +107,13 @@ def solve_global_ths(
     run: Optional[RandomizedRun] = None,
 ) -> Optional[Chain]:
     """Best verified global hitting set over seeded independent trials."""
+    hb = homology_basis(K, r)
+    inst = CutInstance(K, r)
     best: Optional[Chain] = None
     for t in range(trials):
-        zeta = random_nontrivial_cycle(K, r, seed + t)
+        zeta = _draw_class(hb, seed + t)
         sol = solve_ths_fpt(K, zeta, config)
-        ok = sol is not None and is_global_ths_solution(K, r, sol).verdict
+        ok = sol is not None and inst.global_ths(_bit_indices(sol.support.bits))[0]
         if run is not None:
             run.records.append(
                 {"trial": t, "class": zeta.support.bits, "size": None if sol is None else len(sol), "success": ok}
@@ -122,13 +131,15 @@ def solve_global_bnt(
     run: Optional[RandomizedRun] = None,
 ) -> Optional[Chain]:
     """Best verified global boundary-space cut over seeded trials."""
+    inst = CutInstance(K, r)
+    pivots = column_space_pivots(inst.boundary)
     best: Optional[Chain] = None
     for t in range(trials):
-        zeta = random_bounding_cycle(K, r, seed + t)
+        zeta = _draw_bounding(K, r, inst.boundary, pivots, seed + t)
         if zeta.support.bits == 0:
             continue
         sol = solve_bnt_greedy(K, zeta)
-        ok = is_global_bnt_solution(K, r, sol).verdict
+        ok = inst.global_bnt(_bit_indices(sol.support.bits))[0]
         if run is not None:
             run.records.append(
                 {"trial": t, "cycle": zeta.support.bits, "size": len(sol), "success": ok}

@@ -70,12 +70,25 @@ def _ints(tokens: Sequence[str], lineno: int) -> List[int]:
         raise InputError(f"line {lineno}: expected integers, got {tokens!r}")
 
 
+def _number(token: str, lineno: int) -> float:
+    """An int, or failing that a float, as ``emit_complex`` writes weights;
+    which numbers are valid weights is for ``Complex`` to decide."""
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        return float(token)
+    except ValueError:
+        raise InputError(f"line {lineno}: expected a number, got {token!r}")
+
+
 def parse_complex(text: str) -> Complex:
     """Parse the `.scx` format; deterministic indexing via build_complex."""
     dim: Optional[int] = None
     window: Optional[Tuple[int, int]] = None
     tops: List[Tuple[int, ...]] = []
-    weights: Dict[Tuple[int, int], int] = {}
+    weights: Dict[Tuple[int, int], float] = {}
     for lineno, toks in _tokenized(text):
         kw, rest = toks[0], toks[1:]
         if kw == "dim":
@@ -99,10 +112,8 @@ def parse_complex(text: str) -> Complex:
         elif kw == "weight":
             if len(rest) != 3:
                 _bad(lineno, "weight takes u v w")
-            u, v, w = _ints(rest, lineno)
-            if w < 1:
-                _bad(lineno, "weights must be positive")
-            weights[(min(u, v), max(u, v))] = w
+            u, v = _ints(rest[:2], lineno)
+            weights[(min(u, v), max(u, v))] = _number(rest[2], lineno)
         else:
             _bad(lineno, f"unknown keyword {kw!r}")
     if window is None:
@@ -129,7 +140,7 @@ def emit_complex(K: Complex) -> str:
             if s not in covered:
                 lines.append("top " + " ".join(map(str, s)))
     for (u, v), w in sorted(K.weights.items()):
-        wtxt = str(int(w)) if float(w).is_integer() else str(w)
+        wtxt = str(int(w)) if isinstance(w, float) and w.is_integer() else str(w)
         lines.append(f"weight {u} {v} {wtxt}")
     return "\n".join(lines) + "\n"
 
@@ -275,7 +286,7 @@ def _cmd_ths_surface(args, report) -> int:
 def _cmd_ths_fpt(args, report) -> int:
     K = _load_complex(args, report)
     zeta = _load_chain(args.cycle, K, report)
-    config = FPTConfig(k=args.k, parallel=args.parallel, count_all=args.count_all)
+    config = FPTConfig(k=args.k)
     sol = solve_ths_fpt(K, zeta, config)
     code = _print_solution(K, sol, report)
     print(f"candidates {config.stats.get('candidates', 0)}")
@@ -414,8 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ths-fpt", help="parameterized exact hitting set")
     common(p)
     p.add_argument("--k", type=int, required=True, help="solution size bound")
-    p.add_argument("--parallel", action="store_true")
-    p.add_argument("--count-all", action="store_true")
 
     p = sub.add_parser("bnt-greedy", help="greedy boundary nontrivialization")
     common(p)

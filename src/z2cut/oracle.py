@@ -1,5 +1,7 @@
-"""Brute-force ground truth: homologous-cycle/coset enumeration and the
-definition-level hitting-set searches that certify every solver.
+"""Brute-force ground truth: homologous-cycle/coset enumeration, the
+definition-level hitting-set searches that certify every solver, and
+reference verifiers that decide the four cut questions on the complex
+with S removed rather than by the projected ranks of ``feasibility``.
 """
 
 from __future__ import annotations
@@ -8,11 +10,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Set
 
-from .complexes import Chain, Complex, boundary_matrix, dual_graph
+from .complexes import Chain, Complex, dual_graph, remove_closure
 from .errors import InputError, ResourceError
 from .feasibility import is_ths_feasible
-from .gf2 import column_space_pivots, kernel_basis, solve
-from .homology import _boundary_or_zero
+from .gf2 import GF2Matrix, column_space_pivots, in_colspace, kernel_basis, rank, relative_rank, solve
+from .homology import _boundary_or_zero, betti, homology_basis
 
 __all__ = [
     "OracleBudget",
@@ -21,6 +23,10 @@ __all__ = [
     "brute_ths",
     "brute_bnt",
     "brute_ths_surface",
+    "surviving_basis_ths",
+    "surviving_basis_global_ths",
+    "restricted_solve_bnt",
+    "rank_drop_global_bnt",
 ]
 
 
@@ -131,3 +137,54 @@ def brute_ths_surface(K: Complex, zeta: Chain, wmax: Optional[int] = None) -> Op
         if is_ths_feasible(K, zeta, S).verdict:
             best = S
     return best
+
+
+# ------------------------------------------------------ reference verifiers
+#
+# Each takes inputs the public verifier has already validated: zeta a
+# non-bounding (THS) or bounding (BNT) r-cycle of K, S a chain of K of the
+# right dimension.
+
+
+def _lift(mapping: Dict[int, Dict[int, int]], c: Chain) -> int:
+    """Re-index a K_S chain's support bits into K's index space."""
+    inv = {new: old for old, new in mapping[c.dimension].items()}
+    bits, out = c.support.bits, 0
+    while bits:
+        i = (bits & -bits).bit_length() - 1
+        out |= 1 << inv[i]
+        bits &= bits - 1
+    return out
+
+
+def _surviving_cycles(K: Complex, S: Chain) -> List[int]:
+    """A homology basis of K_S, lifted back into K's r-chains."""
+    KS, mapping = remove_closure(K, S)
+    return [_lift(mapping, c) for c in homology_basis(KS, S.dimension).cycles]
+
+
+def surviving_basis_ths(K: Complex, zeta: Chain, S: Chain) -> bool:
+    """THS: zeta is outside the span of K_S's homology basis and K's boundaries."""
+    r = zeta.dimension
+    B = _boundary_or_zero(K, r + 1)
+    return not in_colspace(GF2Matrix(K.n(r), _surviving_cycles(K, S) + B.cols), zeta.support)
+
+
+def surviving_basis_global_ths(K: Complex, r: int, S: Chain) -> bool:
+    """Global THS: K_S's homology basis spans fewer than beta_r classes of K."""
+    B = _boundary_or_zero(K, r + 1)
+    return relative_rank(B, GF2Matrix(K.n(r), _surviving_cycles(K, S))) < betti(K, r)
+
+
+def restricted_solve_bnt(K: Complex, zeta: Chain, S: Chain) -> bool:
+    """BNT: zeta has no preimage among the (r+1)-simplices outside S."""
+    B = _boundary_or_zero(K, zeta.dimension + 1)
+    kept = [c for i, c in enumerate(B.cols) if not S.support.get(i)]
+    return solve(GF2Matrix(B.nrows, kept), zeta.support) is None
+
+
+def rank_drop_global_bnt(K: Complex, r: int, S: Chain) -> bool:
+    """Global BNT: the columns outside S have lower rank than all of ∂_{r+1}."""
+    B = _boundary_or_zero(K, r + 1)
+    kept = [c for i, c in enumerate(B.cols) if not S.support.get(i)]
+    return rank(GF2Matrix(B.nrows, kept)) < rank(B)

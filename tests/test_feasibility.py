@@ -1,12 +1,15 @@
 """Rank-based feasibility checks against enumeration oracles."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_complex
-from z2cut.canonical import gen_canonical
-from z2cut.complexes import evaluate
+from z2cut.canonical import CANONICAL_NAMES, gen_canonical
+from z2cut.complexes import build_complex, evaluate
 from z2cut.errors import InputError
 from z2cut.feasibility import (
     is_bnt_feasible,
@@ -15,8 +18,15 @@ from z2cut.feasibility import (
     is_ths_feasible,
 )
 from z2cut.global_rand import random_bounding_cycle, random_nontrivial_cycle
-from z2cut.homology import betti, homology_basis
-from z2cut.oracle import enumerate_boundary_chains, enumerate_homologous
+from z2cut.homology import _boundary_or_zero, betti, homology_basis
+from z2cut.oracle import (
+    enumerate_boundary_chains,
+    enumerate_homologous,
+    rank_drop_global_bnt,
+    restricted_solve_bnt,
+    surviving_basis_global_ths,
+    surviving_basis_ths,
+)
 
 
 def _enum_ths_feasible(K, zeta, S):
@@ -32,6 +42,16 @@ def test_ths_requires_nonbounding(tetra):
     bd = K.chain(1, [(0, 1), (0, 2), (1, 2)])
     with pytest.raises(InputError):
         is_ths_feasible(K, bd, K.chain(1, []))
+
+
+def test_set_from_another_complex_is_rejected(torus, tetra):
+    K, zeta = torus
+    T, _ = tetra
+    foreign = T.chain(1, list(T.simplices[1]))
+    with pytest.raises(InputError):
+        is_ths_feasible(K, zeta, foreign)
+    with pytest.raises(InputError):
+        is_global_ths_solution(K, 1, foreign)
 
 
 def test_bnt_requires_bounding(torus):
@@ -99,6 +119,40 @@ def test_reports_carry_metadata(torus):
     K, _ = torus
     zeta = random_nontrivial_cycle(K, 1, 0)
     rep = is_ths_feasible(K, zeta, K.chain(1, []))
-    assert rep.method == "surviving-basis-colspace"
+    assert rep.method == "projected-boundary-colspace"
     assert rep.elapsed >= 0
     assert not rep.verdict  # empty set never hits a nontrivial class
+
+
+_TRIANGLES = list(combinations(range(6), 3))
+
+_complexes = st.one_of(
+    st.sampled_from(CANONICAL_NAMES).map(
+        lambda name: gen_canonical(name, {"g": 2} if name == "genus-g" else None)[0]
+    ),
+    st.builds(
+        lambda tris, window: build_complex(sorted(tris) + [(v,) for v in range(6)], window),
+        st.sets(st.sampled_from(_TRIANGLES), min_size=1, max_size=10),
+        st.sampled_from([(0, 2), (1, 2)]),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_complexes, st.data())
+def test_verifiers_match_reference_verifiers(K, data):
+    """The projected-rank verifiers against the K_S-based references in oracle."""
+    r = data.draw(st.integers(K.lo, K.hi), label="r")
+    seed = data.draw(st.integers(0, 2**30), label="seed")
+    S = K.chain_from_bits(r, data.draw(st.integers(0, (1 << K.n(r)) - 1), label="S"))
+    assert is_global_ths_solution(K, r, S).verdict == surviving_basis_global_ths(K, r, S)
+    if betti(K, r):
+        zeta = random_nontrivial_cycle(K, r, seed)
+        assert is_ths_feasible(K, zeta, S).verdict == surviving_basis_ths(K, zeta, S)
+    if r + 1 > K.hi:
+        return
+    T = K.chain_from_bits(r + 1, data.draw(st.integers(0, (1 << K.n(r + 1)) - 1), label="T"))
+    assert is_global_bnt_solution(K, r, T).verdict == rank_drop_global_bnt(K, r, T)
+    if any(_boundary_or_zero(K, r + 1).cols):
+        xi = random_bounding_cycle(K, r, seed)
+        assert is_bnt_feasible(K, xi, T).verdict == restricted_solve_bnt(K, xi, T)

@@ -78,9 +78,3 @@ def test_candidate_envelope(torus):
     delta = max(len(v) for v in r_adjacency(K, 1).values())
     assert cfg.stats["max_per_center"] <= comb(k + k * delta, k)
 
-
-def test_parallel_flag_is_deterministic(torus):
-    K, zeta = torus
-    a = solve_ths_fpt(K, zeta, FPTConfig(k=6))
-    b = solve_ths_fpt(K, zeta, FPTConfig(k=6, parallel=True))
-    assert a == b

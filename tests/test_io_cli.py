@@ -1,10 +1,14 @@
 """File formats, round trips, and the command-line surface."""
 
 import json
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z2cut.canonical import CANONICAL_NAMES, gen_canonical
+from z2cut.complexes import build_complex
 from z2cut.errors import InputError
 from z2cut.homology import dual_subdivided
 from z2cut.io_cli import (
@@ -50,6 +54,40 @@ def test_round_trip_all_canonical():
 def test_round_trip_weighted(torus):
     D, _, _ = dual_subdivided(torus[0])
     assert parse_complex(emit_complex(D)) == D
+
+
+_positive_weights = st.one_of(
+    st.integers(1, 2**70),
+    st.floats(min_value=0, exclude_min=True, allow_infinity=False, allow_nan=False),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sets(st.sampled_from(list(combinations(range(6), 3))), min_size=1, max_size=8),
+    st.sampled_from([(0, 1), (0, 2), (1, 2)]),
+    st.data(),
+)
+def test_round_trip_weighted_property(tris, window, data):
+    """Every weighted complex the library accepts survives .scx emit/parse."""
+    edges = sorted({e for t in tris for e in combinations(t, 2)})
+    chosen = data.draw(st.lists(st.sampled_from(edges), unique=True), label="weighted edges")
+    weights = {e: data.draw(_positive_weights, label=f"w{e}") for e in chosen}
+    K = build_complex(sorted(tris) if window[1] == 2 else edges, window, weights or None)
+    text = emit_complex(K)
+    K2 = parse_complex(text)
+    assert K2 == K
+    assert emit_complex(K2) == text
+
+
+def test_weight_domain():
+    assert parse_complex("window 0 1\ntop 0 1\nweight 0 1 2.5\n").edge_weight((0, 1)) == 2.5
+    for bad in ("0", "-1", "nan", "inf", "x"):
+        with pytest.raises(InputError):
+            parse_complex(f"window 0 1\ntop 0 1\nweight 0 1 {bad}\n")
+    for bad in (0, -0.5, float("nan"), float("inf"), True, "3"):
+        with pytest.raises(InputError):
+            build_complex([(0, 1)], (0, 1), {(0, 1): bad})
 
 
 def test_colored_graph_round_trip():
