@@ -243,10 +243,13 @@ class _UnionFind:
         self.parent: Dict[int, int] = {}
 
     def find(self, x: int) -> int:
-        p = self.parent.setdefault(x, x)
-        if p != x:
-            p = self.parent[x] = self.find(p)
-        return p
+        parent = self.parent
+        root = parent.setdefault(x, x)
+        while parent[root] != root:
+            root = parent[root]
+        while x != root:  # path compression
+            parent[x], x = root, parent[x]
+        return root
 
     def union(self, a: int, b: int) -> None:
         ra, rb = self.find(a), self.find(b)

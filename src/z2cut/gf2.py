@@ -4,12 +4,21 @@ Vectors are Python ints used as bitsets (bit i = coordinate i) wrapped in a
 thin length-carrying type; matrices store columns as bitsets over row
 indices, which is the natural layout for boundary matrices (one column per
 simplex, bits over its facets).
+
+Every elimination is one column reduction with pivots keyed by their lowest
+set bit (the reduction of PHAT and Ripser): a column is reduced by xoring in
+the pivot stored at its lowest set bit until no pivot is stored there or the
+column is 0, so each step is one dict lookup, not a scan of all pivots.  The
+outputs do not depend on the order of reduction.  Column j becomes a pivot
+exactly when it lies outside the span of the columns before it, and the
+solution of ``solve`` and each kernel vector are the unique combinations of
+those pivot columns, so any correct reduction returns the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError
 
@@ -23,6 +32,10 @@ __all__ = [
     "relative_rank",
     "column_space_pivots",
 ]
+
+# lowest set bit -> (reduced column with that lowest bit, combo): ``combo`` is
+# the bitset of input columns whose xor is the reduced column
+Pivots = Dict[int, Tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -66,20 +79,11 @@ class GF2Matrix:
                 raise InputError("column bits exceed row count")
         self.nrows = nrows
         self.cols = list(cols)
-        self._echelon_cache: Optional[list] = None
+        self._echelon_cache: Optional[Tuple[Pivots, List[int]]] = None
 
     @property
     def ncols(self) -> int:
         return len(self.cols)
-
-    @classmethod
-    def from_rows(cls, rows: List[int], ncols: int) -> "GF2Matrix":
-        cols = [0] * ncols
-        for i, r in enumerate(rows):
-            for j in range(ncols):
-                if (r >> j) & 1:
-                    cols[j] |= 1 << i
-        return cls(len(rows), cols)
 
     def column(self, j: int) -> GF2Vector:
         return GF2Vector(self.nrows, self.cols[j])
@@ -98,45 +102,56 @@ class GF2Matrix:
     def entry(self, i: int, j: int) -> int:
         return (self.cols[j] >> i) & 1
 
-    def _echelon(self) -> list:
-        """Column echelon pivots as (pivot_row, reduced_column, combo) triples.
 
-        ``combo`` is a bitset over original column indices with
-        ``xor(cols[combo]) == reduced_column``.  Pivot row = lowest set bit
-        (first nonzero row), columns processed left to right — deterministic.
-        """
-        if self._echelon_cache is None:
-            pivots = []
-            for j, col in enumerate(self.cols):
-                cur, combo = col, 1 << j
-                for prow, pcol, pcombo in pivots:
-                    if (cur >> prow) & 1:
-                        cur ^= pcol
-                        combo ^= pcombo
-                if cur:
-                    pivots.append(((cur & -cur).bit_length() - 1, cur, combo))
-            self._echelon_cache = pivots
-        return self._echelon_cache
+def _reduce(pivots: Pivots, v: int, combo: int = 0) -> Tuple[int, int]:
+    """Xor pivots into v until its lowest set bit holds none or v is 0.
 
-    def _reduce(self, b: int):
-        """Reduce b against the echelon; returns (residue, combo used)."""
-        combo = 0
-        for prow, pcol, pcombo in self._echelon():
-            if (b >> prow) & 1:
-                b ^= pcol
-                combo ^= pcombo
-        return b, combo
+    Returns the residue and ``combo`` xored with the combos used.  The
+    residue is 0 exactly when v lies in the span of the pivots.
+    """
+    while v:
+        p = pivots.get((v & -v).bit_length() - 1)
+        if p is None:
+            break
+        v ^= p[0]
+        combo ^= p[1]
+    return v, combo
+
+
+def _insert(pivots: Pivots, v: int, combo: int = 0) -> Tuple[int, int]:
+    """Reduce v and keep a nonzero residue as the pivot at its lowest bit."""
+    v, combo = _reduce(pivots, v, combo)
+    if v:
+        pivots[(v & -v).bit_length() - 1] = (v, combo)
+    return v, combo
+
+
+def _eliminate(M: GF2Matrix) -> Tuple[Pivots, List[int]]:
+    """M's pivots, combos over column indices, and its kernel basis.
+
+    Columns are inserted left to right; column j's combo is kept as a kernel
+    vector when it reduces to 0.  Built once per matrix and cached.
+    """
+    if M._echelon_cache is None:
+        pivots: Pivots = {}
+        kernel: List[int] = []
+        for j, col in enumerate(M.cols):
+            v, combo = _insert(pivots, col, 1 << j)
+            if not v:
+                kernel.append(combo)
+        M._echelon_cache = (pivots, kernel)
+    return M._echelon_cache
 
 
 def rank(M: GF2Matrix) -> int:
-    return len(M._echelon())
+    return len(_eliminate(M)[0])
 
 
 def solve(M: GF2Matrix, b: GF2Vector) -> Optional[GF2Vector]:
-    """Some x with M·x = b, or None; free variables are 0 (deterministic)."""
+    """The x with M·x = b supported on the pivot columns, or None."""
     if b.length != M.nrows:
         raise InputError("solve: rhs length != row count")
-    residue, combo = M._reduce(b.bits)
+    residue, combo = _reduce(_eliminate(M)[0], b.bits)
     if residue:
         return None
     return GF2Vector(M.ncols, combo)
@@ -145,46 +160,29 @@ def solve(M: GF2Matrix, b: GF2Vector) -> Optional[GF2Vector]:
 def in_colspace(M: GF2Matrix, b: GF2Vector) -> bool:
     if b.length != M.nrows:
         raise InputError("in_colspace: rhs length != row count")
-    residue, _ = M._reduce(b.bits)
+    residue, _ = _reduce(_eliminate(M)[0], b.bits)
     return residue == 0
 
 
 def kernel_basis(M: GF2Matrix) -> GF2Matrix:
-    """Columns form a basis of {x : M·x = 0}; count = ncols - rank."""
-    pivots: list = []
-    kernel: List[int] = []
-    for j, col in enumerate(M.cols):
-        cur, combo = col, 1 << j
-        for prow, pcol, pcombo in pivots:
-            if (cur >> prow) & 1:
-                cur ^= pcol
-                combo ^= pcombo
-        if cur:
-            pivots.append(((cur & -cur).bit_length() - 1, cur, combo))
-        else:
-            kernel.append(combo)
-    return GF2Matrix(M.ncols, kernel)
+    """Columns form a basis of {x : M·x = 0}; count = ncols - rank.
+
+    One vector per non-pivot column j, in order: e_j plus the pivot columns
+    before j that sum to column j.
+    """
+    return GF2Matrix(M.ncols, _eliminate(M)[1])
 
 
 def relative_rank(M: GF2Matrix, N: GF2Matrix) -> int:
     """Number of columns of N outside colspace(M) (rank [M|N] - rank M)."""
     if M.nrows != N.nrows:
         raise InputError("relative_rank: row count mismatch")
-    base = len(M._echelon())
+    base = len(_eliminate(M)[0])
     joint = GF2Matrix(M.nrows, M.cols + N.cols)
     return rank(joint) - base
 
 
 def column_space_pivots(M: GF2Matrix) -> List[int]:
-    """Indices of a deterministic set of columns spanning colspace(M)."""
-    out = []
-    pivots: list = []
-    for j, col in enumerate(M.cols):
-        cur = col
-        for prow, pcol in pivots:
-            if (cur >> prow) & 1:
-                cur ^= pcol
-        if cur:
-            pivots.append(((cur & -cur).bit_length() - 1, cur))
-            out.append(j)
-    return out
+    """Indices of the columns outside the span of the columns before them."""
+    pivots: Pivots = {}
+    return [j for j, col in enumerate(M.cols) if _insert(pivots, col)[0]]

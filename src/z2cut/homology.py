@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .complexes import Chain, Complex, Simplex, boundary_matrix, build_complex, dual_graph
 from .errors import InputError, InternalError
-from .gf2 import GF2Matrix, GF2Vector, kernel_basis, rank, solve
+from .gf2 import GF2Matrix, GF2Vector, Pivots, _insert, kernel_basis, rank, solve
 
 __all__ = [
     "HomologyBasis",
@@ -98,23 +98,10 @@ def homology_basis(K: Complex, p: int) -> HomologyBasis:
         raise InputError(f"dimension {p} outside window [{K.lo},{K.hi}]")
     bmat = _boundary_or_zero(K, p + 1)
     ker = kernel_basis(boundary_matrix(K, p))
-    pivots: list = []
+    pivots: Pivots = {}
     for col in bmat.cols:
-        cur = col
-        for prow, pcol in pivots:
-            if (cur >> prow) & 1:
-                cur ^= pcol
-        if cur:
-            pivots.append(((cur & -cur).bit_length() - 1, cur))
-    cycles: List[Chain] = []
-    for z in ker.cols:
-        cur = z
-        for prow, pcol in pivots:
-            if (cur >> prow) & 1:
-                cur ^= pcol
-        if cur:
-            pivots.append(((cur & -cur).bit_length() - 1, cur))
-            cycles.append(K.chain_from_bits(p, z))
+        _insert(pivots, col)
+    cycles = [K.chain_from_bits(p, z) for z in ker.cols if _insert(pivots, z)[0]]
     return HomologyBasis(K, p, cycles, bmat)
 
 
@@ -190,16 +177,10 @@ def min_homology_basis(K: Complex, p: int = 1) -> List[WeightedChain]:
 
     order = sorted(candidates, key=lambda c: candidates[c])
     chosen: List[WeightedChain] = []
-    pivots: list = []
+    pivots: Pivots = {}
     for cyc in order:
         z = K.chain_from_bits(1, cyc)
-        ann = hb.coordinates(z).bits
-        cur = ann
-        for prow, pcol in pivots:
-            if (cur >> prow) & 1:
-                cur ^= pcol
-        if cur:
-            pivots.append(((cur & -cur).bit_length() - 1, cur))
+        if _insert(pivots, hb.coordinates(z).bits)[0]:
             chosen.append(WeightedChain(z, candidates[cyc][0]))
             if len(chosen) == beta:
                 return chosen

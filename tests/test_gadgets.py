@@ -151,3 +151,13 @@ def test_gadget_rejects_bad_m():
         gen_ths_gadget(EDGE, 0)
     with pytest.raises(InputError):
         gen_bnt_gadget(EDGE, 4)  # too few vertices for the low-dim gadget
+
+
+def test_union_find_long_chain_is_iterative():
+    from z2cut.gadgets import _UnionFind
+
+    uf = _UnionFind()
+    for i in range(5000, 0, -1):
+        uf.union(i, i - 1)
+    assert uf.find(5000) == 0  # the min root wins, with no RecursionError
+    assert all(uf.parent[i] == 0 for i in range(5001))  # paths compressed

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from z2cut.gf2 import (
     GF2Matrix,
     GF2Vector,
+    column_space_pivots,
     in_colspace,
     kernel_basis,
     rank,
@@ -84,3 +85,50 @@ def test_vector_xor_and_weight():
     assert (a ^ b).bits == 0b1100
     assert a.weight() == 2
     assert a.get(1) and not a.get(0)
+
+
+def _combination(cols, indices, target):
+    """Brute force: the subset of ``indices`` whose columns xor to target."""
+    found = []
+    for mask in range(1 << len(indices)):
+        acc, x = 0, 0
+        for t, j in enumerate(indices):
+            if (mask >> t) & 1:
+                acc ^= cols[j]
+                x |= 1 << j
+        if acc == target:
+            found.append(x)
+    assert len(found) <= 1  # the pivot columns are independent
+    return found[0] if found else None
+
+
+small_systems = st.integers(0, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, 2**n - 1), max_size=8),
+        st.integers(0, 2**n - 1),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems)
+def test_elimination_contract_against_brute_force_spans(system):
+    nrows, cols, b = system
+    A = GF2Matrix(nrows, cols)
+    span, pivots = {0}, []
+    for j, col in enumerate(cols):
+        if col not in span:
+            pivots.append(j)
+            span |= {s ^ col for s in span}
+    assert column_space_pivots(A) == pivots
+    assert rank(A) == len(pivots)
+    kernel = []
+    for j, col in enumerate(cols):
+        if j not in pivots:
+            kernel.append((1 << j) | _combination(cols, [i for i in pivots if i < j], col))
+    assert kernel_basis(A).cols == kernel
+    x = _combination(cols, pivots, b)
+    got = solve(A, GF2Vector(nrows, b))
+    assert (got.bits if got is not None else None) == x
+    assert in_colspace(A, GF2Vector(nrows, b)) == (x is not None)
