@@ -98,6 +98,11 @@ def random_bounding_cycle(K: Complex, r: int, seed: int) -> Chain:
     return _draw_bounding(K, r, B, column_space_pivots(B), seed)
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise InputError(f"trials must be at least 1, got {trials}")
+
+
 def solve_global_ths(
     K: Complex,
     r: int,
@@ -107,6 +112,7 @@ def solve_global_ths(
     run: Optional[RandomizedRun] = None,
 ) -> Optional[Chain]:
     """Best verified global hitting set over seeded independent trials."""
+    _require_trials(trials)
     hb = homology_basis(K, r)
     inst = CutInstance(K, r)
     best: Optional[Chain] = None
@@ -131,6 +137,7 @@ def solve_global_bnt(
     run: Optional[RandomizedRun] = None,
 ) -> Optional[Chain]:
     """Best verified global boundary-space cut over seeded trials."""
+    _require_trials(trials)
     inst = CutInstance(K, r)
     pivots = column_space_pivots(inst.boundary)
     best: Optional[Chain] = None

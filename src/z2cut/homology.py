@@ -1,20 +1,24 @@
 """Z2 homology: Betti numbers, (co)homology bases, minimum-weight bases.
 
-The minimum homology basis uses the classic candidate-cycle greedy: one
-shortest-path tree per vertex, one candidate cycle per (tree, edge) pair,
-greedy selection by weight under linear independence of homology
-coordinates.  Minimum cohomology bases on surfaces reduce to minimum
-homology bases of a stellar-subdivided dual complex whose cone edges carry
-a weight so large they can never appear in a minimum basis.
+Both minimum bases come from one candidate-cycle (Horton) greedy over a
+weighted graph: one shortest-path tree per vertex, one candidate cycle per
+(tree, non-tree edge) pair, kept in weight order while its annotation is
+independent of those kept before (Busaryev, Cabello, Chen, Dey and Wang,
+SWAT 2012).  The annotation is a linear map of cycles whose kernel is the
+cycles to ignore.  For homology the graph is the 1-skeleton and the
+annotation the homology coordinates.  For cohomology on a closed surface
+the graph is the dual graph, whose cycles are exactly the 1-cocycles, and
+the annotation is the pairing with a homology basis, which vanishes
+exactly on coboundaries.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from .complexes import Chain, Complex, Simplex, boundary_matrix, build_complex, dual_graph
+from .complexes import Chain, Complex, boundary_matrix, dual_graph
 from .errors import InputError, InternalError
 from .gf2 import GF2Matrix, GF2Vector, Pivots, _insert, kernel_basis, rank, solve
 
@@ -24,7 +28,6 @@ __all__ = [
     "betti",
     "homology_basis",
     "min_homology_basis",
-    "dual_subdivided",
     "min_cohomology_basis",
 ]
 
@@ -105,36 +108,32 @@ def homology_basis(K: Complex, p: int) -> HomologyBasis:
     return HomologyBasis(K, p, cycles, bmat)
 
 
-def _vertex_graph(K: Complex) -> Tuple[Dict[int, List[Tuple[int, int]]], List[Simplex]]:
-    """Vertex adjacency with edge indices: v -> [(neighbor, edge index)]."""
-    verts = [s[0] for s in K.simplices[0]]
-    vidx = {v: i for i, v in enumerate(verts)}
-    adj: Dict[int, List[Tuple[int, int]]] = {i: [] for i in range(len(verts))}
-    for ei, (a, b) in enumerate(K.simplices[1]):
-        adj[vidx[a]].append((vidx[b], ei))
-        adj[vidx[b]].append((vidx[a], ei))
-    return adj, K.simplices[1]
+def _horton_greedy(
+    nverts: int,
+    ends: List[Tuple[int, int]],
+    weights: List[float],
+    annotate: Callable[[int], int],
+    beta: int,
+) -> List[Tuple[int, float]]:
+    """The first beta candidate cycles of a connected graph, in (weight,
+    edge indices) order, whose annotations are independent; each as
+    (edge bitset, weight).
 
-
-def min_homology_basis(K: Complex, p: int = 1) -> List[WeightedChain]:
-    """Minimum-weight H_1 basis via the candidate-cycle greedy."""
-    if p != 1:
-        raise InputError("min_homology_basis supports dimension 1 only")
-    if not (K.lo <= 0 and 1 <= K.hi):
-        raise InputError("window must cover dimensions 0 and 1")
-    if betti(K, 0) != 1:
-        raise InputError("complex must be connected; run per component")
-    beta = betti(K, 1)
+    Vertices are 0..nverts-1 and edge i joins ends[i].  Shortest-path trees
+    break ties by (distance, vertex) and scan neighbors by (vertex, edge).
+    """
     if beta == 0:
         return []
-    nverts = K.n(0)
-    adj, edges = _vertex_graph(K)
-    ew = [K.edge_weight(e) for e in edges]
-    hb = homology_basis(K, 1)
+    adj: List[List[Tuple[int, int]]] = [[] for _ in range(nverts)]
+    for ei, (a, b) in enumerate(ends):
+        adj[a].append((b, ei))
+        adj[b].append((a, ei))
+    for nbrs in adj:
+        nbrs.sort()
 
     candidates: Dict[int, Tuple[float, Tuple[int, ...]]] = {}
     for root in range(nverts):
-        # Dijkstra with deterministic tie-breaks; parent[v] = edge index
+        # Dijkstra; parent[v] = index of the tree edge into v
         dist = {root: 0.0}
         parent: Dict[int, int] = {}
         done = set()
@@ -144,8 +143,8 @@ def min_homology_basis(K: Complex, p: int = 1) -> List[WeightedChain]:
             if u in done:
                 continue
             done.add(u)
-            for v, ei in sorted(adj[u]):
-                nd = d + ew[ei]
+            for v, ei in adj[u]:
+                nd = d + weights[ei]
                 if v not in dist or nd < dist[v]:
                     dist[v] = nd
                     parent[v] = ei
@@ -156,35 +155,29 @@ def min_homology_basis(K: Complex, p: int = 1) -> List[WeightedChain]:
             stack = []
             while v not in path_bits:
                 stack.append(v)
-                ei = parent[v]
-                a, b = edges[ei]
-                va, vb = K.index[0][(a,)], K.index[0][(b,)]
-                v = va if v == vb else vb
+                a, b = ends[parent[v]]
+                v = a if v == b else b
             bits = path_bits[v]
             for w in reversed(stack):
                 bits ^= 1 << parent[w]
                 path_bits[w] = bits
-            return path_bits[stack[0]] if stack else bits
+            return bits
 
-        for ei, (a, b) in enumerate(edges):
-            va, vb = K.index[0][(a,)], K.index[0][(b,)]
-            if va not in done or vb not in done:
-                continue
-            cyc = tree_path(va) ^ tree_path(vb) ^ (1 << ei)
-            if cyc and ((cyc >> ei) & 1) and cyc not in candidates:
-                w = sum(ew[i] for i in _bit_indices(cyc))
-                candidates[cyc] = (w, tuple(_bit_indices(cyc)))
+        for ei, (a, b) in enumerate(ends):
+            # 0 exactly when ei is a tree edge
+            cyc = tree_path(a) ^ tree_path(b) ^ (1 << ei)
+            if cyc and cyc not in candidates:
+                idx = tuple(_bit_indices(cyc))
+                candidates[cyc] = (sum(weights[i] for i in idx), idx)
 
-    order = sorted(candidates, key=lambda c: candidates[c])
-    chosen: List[WeightedChain] = []
+    chosen: List[Tuple[int, float]] = []
     pivots: Pivots = {}
-    for cyc in order:
-        z = K.chain_from_bits(1, cyc)
-        if _insert(pivots, hb.coordinates(z).bits)[0]:
-            chosen.append(WeightedChain(z, candidates[cyc][0]))
+    for cyc in sorted(candidates, key=candidates.__getitem__):
+        if _insert(pivots, annotate(cyc))[0]:
+            chosen.append((cyc, candidates[cyc][0]))
             if len(chosen) == beta:
                 return chosen
-    raise InternalError("candidate cycles failed to span H_1")
+    raise InternalError("candidate cycles failed to span the annotations")
 
 
 def _bit_indices(bits: int) -> List[int]:
@@ -195,93 +188,61 @@ def _bit_indices(bits: int) -> List[int]:
     return out
 
 
-def dual_subdivided(K: Complex) -> Tuple[Complex, Dict[Simplex, int], float]:
-    """Stellar-subdivided dual complex of a closed surface.
-
-    Dual vertex i = triangle i; cone vertex (#triangles + j) caps the dual
-    2-cell of primal vertex j.  Dual edges keep their primal edge weights;
-    cone edges get a weight no minimum basis can afford.  Returns the
-    complex, the dual-edge -> primal-edge-index map, and that big weight.
-    """
-    adj, dedges = dual_graph(K)
-    ntri = K.n(2)
-    edge_map: Dict[Simplex, int] = {}
-    weights: Dict[Simplex, float] = {}
-    tris: List[Tuple[int, int, int]] = []
-    for t1, t2, ei in dedges:
-        de = (min(t1, t2), max(t1, t2))
-        edge_map[de] = ei
-        weights[de] = K.edge_weight(K.simplices[1][ei])
-    tri_idx = K.index[2]
-    for vj, (v,) in enumerate(K.simplices[0]):
-        cone = ntri + vj
-        for t in K.simplices[2]:
-            if v not in t:
-                continue
-            ti = tri_idx[t]
-            # dual edges of the 2-cell boundary: primal edges at v inside t
-            for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-                if v in e:
-                    other = [x for x in dual_graph_cofacets(K, e) if x != ti][0]
-                    if ti < other:
-                        tris.append((ti, other, cone))
-    D = build_complex(sorted(set(tris)), (0, 2))
-    maxw = max([w for w in weights.values()] + [0])
-    winf = 1.0 + D.n(1) * (1 + maxw)
-    full_weights = dict(weights)
-    for e in D.simplices[1]:
-        if e not in full_weights:
-            full_weights[e] = winf
-    D = Complex(0, 2, {p: list(D.simplices[p]) for p in (0, 1, 2)}, full_weights)
-    return D, edge_map, winf
-
-
-def dual_graph_cofacets(K: Complex, e: Simplex) -> List[int]:
-    """Indices of the (two, on a surface) triangles containing edge e."""
-    out = []
-    for t, i in K.index[2].items():
-        if e[0] in t and e[1] in t:
-            out.append(i)
+def _reindex(bits: int, target: List[int]) -> int:
+    """Move bit i of ``bits`` to bit target[i]."""
+    out = 0
+    for i in _bit_indices(bits):
+        out |= 1 << target[i]
     return out
+
+
+def min_homology_basis(K: Complex, p: int = 1) -> List[WeightedChain]:
+    """Minimum-weight H_1 basis, ascending by weight: the greedy on the
+    1-skeleton, annotated by homology coordinates."""
+    if p != 1:
+        raise InputError("min_homology_basis supports dimension 1 only")
+    if not (K.lo <= 0 and 1 <= K.hi):
+        raise InputError("window must cover dimensions 0 and 1")
+    if betti(K, 0) != 1:
+        raise InputError("complex must be connected; run per component")
+    hb = homology_basis(K, 1)
+    vidx = K.index[0]
+    ends = [(vidx[(a,)], vidx[(b,)]) for a, b in K.simplices[1]]
+    weights = [K.edge_weight(e) for e in K.simplices[1]]
+    chosen = _horton_greedy(
+        K.n(0), ends, weights, lambda cyc: hb.coordinates(K.chain_from_bits(1, cyc)).bits, len(hb)
+    )
+    return [WeightedChain(K.chain_from_bits(1, cyc), w) for cyc, w in chosen]
 
 
 def min_cohomology_basis(K: Complex) -> List[WeightedChain]:
-    """Minimum-weight cocycle basis of a closed surface, ascending by weight.
+    """Minimum-weight cocycle basis of a connected closed surface, ascending
+    by (weight, edge indices).
 
-    Each element is a nontrivial cocycle inducing a single circle subgraph
-    of the dual graph; weights are certified not to involve cone edges.
+    Each element is a nontrivial cocycle whose edges form a single circle of
+    the dual graph: the greedy on the dual graph, annotated by the pairing
+    with a homology basis.
     """
-    D, edge_map, winf = dual_subdivided(K)
-    basis = min_homology_basis(D)
-    out: List[WeightedChain] = []
-    d2t = boundary_matrix(K, 2)
-    delta0 = _coboundary0(K)
-    for wc in basis:
-        bits = 0
-        for e in D.members(wc.chain):
-            if e not in edge_map:
-                raise InternalError("minimum dual basis cycle uses a cone edge")
-            bits |= 1 << edge_map[e]
-        eta = K.chain_from_bits(1, bits)
-        for col in d2t.cols:
-            if (col & bits).bit_count() & 1:
-                raise InternalError("dual basis cycle does not map to a cocycle")
-        from .gf2 import in_colspace
+    _, dedges = dual_graph(K)
+    if betti(K, 0) != 1:
+        raise InputError("surface must be connected; run per component")
+    # dual edge j joins triangles ends[j] across primal edge primal[j], in
+    # (t1, t2) triangle-pair order
+    order = sorted(dedges)
+    ends = [(t1, t2) for t1, t2, _ in order]
+    primal = [ei for _, _, ei in order]
+    dual = [0] * len(primal)
+    for j, ei in enumerate(primal):
+        dual[ei] = j
+    weights = [K.edge_weight(K.simplices[1][ei]) for ei in primal]
+    zs = [_reindex(z.support.bits, dual) for z in homology_basis(K, 1).cycles]
 
-        if in_colspace(delta0, eta.support):
-            raise InternalError("minimum cocycle basis element is a coboundary")
-        out.append(WeightedChain(eta, wc.weight))
+    def pairing(cyc: int) -> int:
+        return sum(((cyc & z).bit_count() & 1) << i for i, z in enumerate(zs))
+
+    out = [
+        WeightedChain(K.chain_from_bits(1, _reindex(cyc, primal)), w)
+        for cyc, w in _horton_greedy(K.n(2), ends, weights, pairing, len(zs))
+    ]
     out.sort(key=lambda wc: (wc.weight, tuple(_bit_indices(wc.chain.support.bits))))
     return out
-
-
-def _coboundary0(K: Complex) -> GF2Matrix:
-    """delta_0: columns are vertex coboundaries over the edge index."""
-    cols = []
-    for (v,) in K.simplices[0]:
-        bits = 0
-        for ei, e in enumerate(K.simplices[1]):
-            if v in e:
-                bits |= 1 << ei
-        cols.append(bits)
-    return GF2Matrix(K.n(1), cols)

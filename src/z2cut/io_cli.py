@@ -227,9 +227,7 @@ class _Report:
         self.data["elapsed_s"] = round(time.monotonic() - self.t0, 6)
         self.data["exit_code"] = exit_code
         if path:
-            with open(path, "w") as fh:
-                json.dump(self.data, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write(path, json.dumps(self.data, indent=2, sort_keys=True) + "\n")
 
 
 def _read(path: str) -> str:
@@ -238,6 +236,14 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
 
 
 def _load_complex(args, report: _Report) -> Complex:
@@ -376,17 +382,13 @@ def _cmd_gen(args, report) -> int:
     else:
         params = {"g": args.g} if args.name == "genus-g" else None
         K, chain = gen_canonical(args.name, params)
-    with open(args.out, "w") as fh:
-        fh.write(emit_complex(K))
+    _write(args.out, emit_complex(K))
     print(f"wrote {args.out}")
     if chain is not None and args.chain_out:
-        with open(args.chain_out, "w") as fh:
-            fh.write(emit_chain(K, chain))
+        _write(args.chain_out, emit_chain(K, chain))
         print(f"wrote {args.chain_out}")
     if legend is not None and args.legend_out:
-        with open(args.legend_out, "w") as fh:
-            json.dump(legend, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+        _write(args.legend_out, json.dumps(legend, indent=2, sort_keys=True, default=str) + "\n")
         print(f"wrote {args.legend_out}")
     report.data["output"] = {
         "counts": {p: K.n(p) for p in range(K.lo, K.hi + 1)},
@@ -483,6 +485,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     report = _Report(args, argv)
+    code = _run(args, report)
+    try:
+        report.finish(getattr(args, "json", None), code)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return code
+
+
+def _run(args: argparse.Namespace, report: _Report) -> int:
+    """The subcommand's exit code, with input and resource errors mapped to 2 and 3."""
     try:
         if getattr(args, "json", None) and hasattr(args, "seed") and args.seed is None:
             raise InputError("--seed is required when --json is requested")
@@ -490,17 +503,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise InputError(f"verify {args.kind} needs --cycle")
         if args.cmd == "verify" and args.kind.startswith("global") and args.dim is None:
             raise InputError(f"verify {args.kind} needs --dim")
-        code = _DISPATCH[args.cmd](args, report)
+        return _DISPATCH[args.cmd](args, report)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        report.finish(getattr(args, "json", None), 2)
         return 2
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
-        report.finish(getattr(args, "json", None), 3)
         return 3
-    report.finish(getattr(args, "json", None), code)
-    return code
 
 
 if __name__ == "__main__":

@@ -118,25 +118,30 @@ def _simple_cycles_upto(adj: Dict[int, Set[int]], max_len: int) -> List[frozense
 
 
 def brute_ths_surface(K: Complex, zeta: Chain, wmax: Optional[int] = None) -> Optional[Chain]:
-    """Exact THS optimum on a closed surface by exhausting circle subgraphs
-    of the dual graph (minimal solutions have that shape) in weight order.
+    """Exact THS optimum on a closed surface: the first circle subgraph of
+    the dual graph (minimal solutions have that shape), in (length, node
+    pairs) order, that is feasible.
 
-    Tractable where full subset enumeration is not; unit weights assumed.
+    Circles are enumerated up to a length cap doubling from 3 to ``wmax``
+    (default: the edge count), so the search stops at the first cap that
+    holds a feasible circle.  Tractable where full subset enumeration is
+    not; unit weights assumed.
     """
     adj, dedges = dual_graph(K)
     pair_to_edge = {(min(a, b), max(a, b)): ei for a, b, ei in dedges}
     limit = wmax if wmax is not None else K.n(1)
-    best: Optional[Chain] = None
-    for cyc in _simple_cycles_upto(adj, limit):
-        if best is not None and len(cyc) >= len(best):
-            continue
-        bits = 0
-        for pair in cyc:
-            bits |= 1 << pair_to_edge[pair]
-        S = K.chain_from_bits(1, bits)
-        if is_ths_feasible(K, zeta, S).verdict:
-            best = S
-    return best
+    cap = min(3, limit)
+    while True:
+        for cyc in _simple_cycles_upto(adj, cap):
+            bits = 0
+            for pair in cyc:
+                bits |= 1 << pair_to_edge[pair]
+            S = K.chain_from_bits(1, bits)
+            if is_ths_feasible(K, zeta, S).verdict:
+                return S
+        if cap >= limit:
+            return None
+        cap = min(2 * cap, limit)
 
 
 # ------------------------------------------------------ reference verifiers

@@ -2,20 +2,21 @@
 
 Minimal solutions on surfaces are nontrivial cocycles that trace a circle
 in the dual graph, so it suffices to compute a minimum-weight cocycle
-basis and pick the lightest element with odd pairing against the input
-cycle.
+basis (``homology.min_cohomology_basis``, a shortest-cycle greedy on the
+dual graph) and pick the lightest element with odd pairing against the
+input cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from .complexes import Chain, Complex, boundary_matrix, dual_graph, evaluate
 from .errors import InputError, InternalError
 from .feasibility import FeasibilityReport, is_ths_feasible, _require_nonbounding
-from .gf2 import in_colspace
-from .homology import WeightedChain, _coboundary0, min_cohomology_basis
+from .gf2 import GF2Matrix, in_colspace
+from .homology import min_cohomology_basis
 
 __all__ = [
     "SurfaceTHSResult",
@@ -66,6 +67,16 @@ def is_connected_cocycle(K: Complex, eta: Chain) -> bool:
                 seen.add(w)
                 frontier.append(w)
     return seen == nodes
+
+
+def _coboundary0(K: Complex) -> GF2Matrix:
+    """delta_0: column j is the coboundary of vertex j over the edge index."""
+    vidx = K.index[0]
+    cols = [0] * K.n(0)
+    for ei, (a, b) in enumerate(K.simplices[1]):
+        cols[vidx[(a,)]] |= 1 << ei
+        cols[vidx[(b,)]] |= 1 << ei
+    return GF2Matrix(K.n(1), cols)
 
 
 def classify_cocycle(K: Complex, eta: Chain) -> str:

@@ -81,3 +81,10 @@ def test_transcript_records_classes(torus):
     for t, rec in enumerate(run.records):
         assert rec["trial"] == t
         assert rec["class"] != 0
+
+
+def test_trials_must_be_positive(torus, tetra):
+    with pytest.raises(InputError, match="trials"):
+        solve_global_ths(torus[0], 1, FPTConfig(k=6), seed=1, trials=0)
+    with pytest.raises(InputError, match="trials"):
+        solve_global_bnt(tetra[0], 1, seed=1, trials=-1)

@@ -1,18 +1,21 @@
-"""Homology ranks, bases, and the subdivided-dual cocycle machinery."""
+"""Homology ranks, bases, and minimum homology and cohomology bases."""
+
+import random
+from itertools import combinations
 
 import pytest
 
 from conftest import random_complex
 from z2cut.canonical import gen_canonical
 from z2cut.complexes import boundary_matrix, build_complex
-from z2cut.gf2 import GF2Vector, rank
+from z2cut.gf2 import GF2Matrix, GF2Vector, kernel_basis, rank
 from z2cut.homology import (
     betti,
-    dual_subdivided,
     homology_basis,
     min_cohomology_basis,
     min_homology_basis,
 )
+from z2cut.surface_ths import classify_cocycle
 
 
 def test_betti_fixtures(torus, tetra, octa):
@@ -78,8 +81,6 @@ def _on(v):
 
 
 def _independent(bits_list):
-    from z2cut.gf2 import GF2Matrix
-
     m = max(b.bit_length() for b in bits_list)
     return rank(GF2Matrix(m, list(bits_list))) == len(bits_list)
 
@@ -105,8 +106,6 @@ def test_min_homology_basis_matches_brute():
 
 
 def test_min_homology_basis_random_graphs():
-    import random
-
     rng = random.Random(11)
     for trial in range(8):
         nv = 5
@@ -123,24 +122,77 @@ def test_min_homology_basis_random_graphs():
         assert got == _brute_min_basis_weights(K), trial
 
 
-def test_dual_subdivided_counts(torus):
-    K, _ = torus
-    D, edge_map, winf = dual_subdivided(K)
-    assert (D.n(0), D.n(1), D.n(2)) == (21, 63, 42)
-    assert winf == 1 + D.n(1) * (1 + 1)
-    # every primal triangle is a dual vertex; finite edges map back to edges
-    assert len(edge_map) == K.n(1)
+def _weighted_grid_torus(n, seed):
+    """n x n grid torus, squares cut by a diagonal, seeded weights 1..9."""
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b = i * n + j, ((i + 1) % n) * n + j
+            c, d = i * n + (j + 1) % n, ((i + 1) % n) * n + (j + 1) % n
+            tris += [tuple(sorted((a, b, d))), tuple(sorted((a, c, d)))]
+    rng = random.Random(seed)
+    edges = sorted({e for t in tris for e in combinations(t, 2)})
+    return build_complex(sorted(tris), (0, 2), {e: rng.randint(1, 9) for e in edges})
+
+
+def _pairing(bits, hb):
+    """Bit i is the parity of the cochain's overlap with basis cycle i."""
+    return sum(((bits & z.support.bits).bit_count() & 1) << i for i, z in enumerate(hb.cycles))
 
 
 def test_min_cohomology_basis_torus(torus):
     K, _ = torus
-    basis = min_cohomology_basis(K)
-    assert [wc.weight for wc in basis] == [6, 6]
-    # each returned cochain is a cocycle: even overlap with triangle boundaries
-    d2 = boundary_matrix(K, 2)
-    for wc in basis:
-        for col in d2.cols:
-            assert (col & wc.chain.support.bits).bit_count() % 2 == 0
+    assert [wc.weight for wc in min_cohomology_basis(K)] == [6, 6]
+    for K in (K, gen_canonical("genus-g", {"g": 2})[0], _weighted_grid_torus(4, 5)):
+        basis = min_cohomology_basis(K)
+        assert len(basis) == betti(K, 1)
+        d2 = boundary_matrix(K, 2)
+        hb = homology_basis(K, 1)
+        pairings = []
+        for wc in basis:
+            bits = wc.chain.support.bits
+            # a cocycle: even overlap with every triangle boundary
+            assert all((col & bits).bit_count() % 2 == 0 for col in d2.cols)
+            assert classify_cocycle(K, wc.chain) == "nontrivial-cocycle"
+            pairings.append(_pairing(bits, hb))
+        assert _independent(pairings)
+        weights = [wc.weight for wc in basis]
+        assert weights == sorted(weights)
+
+
+def _brute_min_cocycle_weights(K):
+    """Every 1-cocycle, from a kernel basis of the coboundary map; greedy by
+    (weight, bits) under independence of the pairing with a homology basis."""
+    cob = [0] * K.n(1)
+    for ti, col in enumerate(boundary_matrix(K, 2).cols):
+        for ei in range(K.n(1)):
+            if (col >> ei) & 1:
+                cob[ei] |= 1 << ti
+    cocycles = [0]
+    for z in kernel_basis(GF2Matrix(K.n(2), cob)).cols:
+        cocycles += [c ^ z for c in cocycles]
+    hb = homology_basis(K, 1)
+
+    def weight(bits):
+        return sum(K.edge_weight(e) for e in K.members(K.chain_from_bits(1, bits)))
+
+    chosen, pairings = [], []
+    for bits in sorted(cocycles[1:], key=lambda c: (weight(c), c)):
+        pair = _pairing(bits, hb)
+        if pair and _independent(pairings + [pair]):
+            chosen.append(weight(bits))
+            pairings.append(pair)
+            if len(chosen) == len(hb):
+                break
+    return chosen
+
+
+def test_min_cohomology_basis_matches_brute(torus):
+    """Minimum weights against all cocycles, not only dual-graph circles."""
+    genus2 = gen_canonical("genus-g", {"g": 2})[0]
+    for K in (torus[0], genus2, _weighted_grid_torus(3, 2), _weighted_grid_torus(4, 5)):
+        got = [wc.weight for wc in min_cohomology_basis(K)]
+        assert got == _brute_min_cocycle_weights(K)
 
 
 def test_betti_random_complexes_euler():

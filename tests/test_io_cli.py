@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from z2cut.canonical import CANONICAL_NAMES, gen_canonical
 from z2cut.complexes import build_complex
 from z2cut.errors import InputError
-from z2cut.homology import dual_subdivided
 from z2cut.io_cli import (
     emit_chain,
     emit_colored_graph,
@@ -52,8 +51,10 @@ def test_round_trip_all_canonical():
 
 
 def test_round_trip_weighted(torus):
-    D, _, _ = dual_subdivided(torus[0])
-    assert parse_complex(emit_complex(D)) == D
+    K = torus[0]
+    weights = {e: (3, 2.5, 11, 0.125)[i % 4] for i, e in enumerate(K.simplices[1])}
+    W = build_complex(list(K.simplices[2]), (0, 2), weights)
+    assert parse_complex(emit_complex(W)) == W
 
 
 _positive_weights = st.one_of(
@@ -180,3 +181,27 @@ def test_cli_oracle_and_exit_one(tmp_path, capsys, tetra):
     assert main(["oracle", "coset", "--complex", scx, "--cycle", tri]) == 0
     assert "count 2" in capsys.readouterr().out
     assert main(["oracle", "bnt", "--complex", scx, "--cycle", tri, "--kmax", "1"]) == 1
+
+
+def test_cli_unwritable_outputs_exit_two(torus_files, tmp_path, capsys):
+    scx, chn, _ = torus_files
+    bad = str(tmp_path / "no-such-dir" / "x")
+    ok = str(tmp_path / "ok.scx")
+    cg = _write(tmp_path, "g.cg", "vertex 1 1\nvertex 2 2\nedge 1 2\n")
+    assert main(["gen", "csaszar-torus", "--out", bad]) == 2
+    assert main(["gen", "csaszar-torus", "--out", ok, "--chain-out", bad]) == 2
+    assert main(["gen", "gadget-ths", "--graph", cg, "--m", "5", "--out", ok, "--legend-out", bad]) == 2
+    assert main(["ths-surface", "--complex", scx, "--cycle", chn, "--json", bad]) == 2
+    # the report is written after a failed command too
+    assert main(["ths-surface", "--complex", scx, "--cycle", "missing.chn", "--json", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"cannot write {bad}") == 5
+    assert "Traceback" not in err
+
+
+def test_cli_trials_must_be_positive(torus_files, capsys):
+    scx, _, _ = torus_files
+    for cmd, extra in (("global-ths", ["--k", "6"]), ("global-bnt", [])):
+        args = [cmd, "--complex", scx, "--dim", "1", "--seed", "1", "--trials", "0"] + extra
+        assert main(args) == 2
+    assert capsys.readouterr().err.count("trials must be at least 1") == 2

@@ -1,4 +1,5 @@
-"""Exact hitting sets on closed surfaces via the subdivided dual."""
+"""Exact hitting sets on closed surfaces via the minimum cocycle basis of
+the dual graph."""
 
 import pytest
 
@@ -6,7 +7,8 @@ from z2cut.canonical import gen_canonical
 from z2cut.complexes import build_complex
 from z2cut.errors import InputError
 from z2cut.feasibility import is_ths_feasible
-from z2cut.homology import homology_basis
+from z2cut.homology import homology_basis, min_cohomology_basis
+from z2cut.io_cli import emit_chain, emit_complex, main
 from z2cut.oracle import brute_ths
 from z2cut.surface_ths import classify_cocycle, is_connected_cocycle, solve_ths_surface
 
@@ -15,6 +17,23 @@ def test_rejects_non_surface():
     K = build_complex([(0, 1, 2), (1, 2, 3)], (0, 2))
     with pytest.raises(InputError):
         solve_ths_surface(K, K.chain(1, [(0, 1)]))
+
+
+def test_rejects_disconnected_surface(torus, tmp_path, capsys):
+    K, zeta = torus
+    shift = K.n(0)
+    tris = list(K.simplices[2]) + [tuple(v + shift for v in t) for t in K.simplices[2]]
+    two = build_complex(tris, (0, 2))
+    zeta2 = two.chain(1, K.members(zeta))
+    with pytest.raises(InputError, match="connected"):
+        min_cohomology_basis(two)
+    with pytest.raises(InputError, match="connected"):
+        solve_ths_surface(two, zeta2)
+    scx, chn = tmp_path / "two.scx", tmp_path / "z.chn"
+    scx.write_text(emit_complex(two))
+    chn.write_text(emit_chain(two, zeta2))
+    assert main(["ths-surface", "--complex", str(scx), "--cycle", str(chn)]) == 2
+    assert "connected" in capsys.readouterr().err
 
 
 def test_rejects_bounding_cycle(torus):
