@@ -10,13 +10,13 @@ simplices at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
-from .complexes import Chain, Complex
+from .complexes import Chain, Complex, boundary_matrix
 from .errors import InputError, InternalError, ResourceError
 from .feasibility import is_bnt_feasible
-from .gf2 import GF2Matrix, GF2Vector, solve
-from .homology import _boundary_or_zero, betti
+from .gf2 import GF2Matrix, _bit_indices, _reindex, solve
+from .homology import betti
 
 __all__ = ["CoverInstance", "greedy_set_cover", "solve_bnt_greedy", "BETA_CAP"]
 
@@ -35,13 +35,7 @@ class CoverInstance:
 def greedy_set_cover(inst: CoverInstance) -> List[int]:
     """Max-coverage greedy, lowest row index on ties; returns chosen rows."""
     nrows = len(inst.sets)
-    row_masks = [0] * nrows
-    for j, col in enumerate(inst.incidence.cols):
-        bits = col
-        while bits:
-            i = (bits & -bits).bit_length() - 1
-            row_masks[i] |= 1 << j
-            bits &= bits - 1
+    row_masks = inst.incidence.rows()
     uncovered = (1 << len(inst.universe)) - 1
     covered_by_any = 0
     for m in row_masks:
@@ -60,7 +54,7 @@ def greedy_set_cover(inst: CoverInstance) -> List[int]:
 def solve_bnt_greedy(K: Complex, zeta: Chain, beta_cap: int = BETA_CAP) -> Chain:
     """Smallest-ish set of (r+1)-simplices making zeta non-bounding."""
     r = zeta.dimension
-    B = _boundary_or_zero(K, r + 1)
+    B = boundary_matrix(K, r + 1)
     n = K.n(r + 1)
     if solve(B, zeta.support) is None:
         raise InputError("input cycle does not bound; nothing to nontrivialize")
@@ -79,34 +73,24 @@ def solve_bnt_greedy(K: Complex, zeta: Chain, beta_cap: int = BETA_CAP) -> Chain
         iterations += 1
         if iterations > beta_up + 1:
             raise InternalError("cover loop exceeded the termination bound")
-        bits = 0
-        for pos, j in enumerate(keep_idx):
-            if x.get(pos):
-                bits |= 1 << j
-        X.append(bits)
+        X.append(_reindex(x.bits, keep_idx))
         # all odd-size subset XORs of X, minus chains already hit
         ys: List[int] = []
         for mask in range(1, 1 << len(X)):
             if mask.bit_count() & 1 == 0:
                 continue
             acc = 0
-            m = mask
-            while m:
-                acc ^= X[(m & -m).bit_length() - 1]
-                m &= m - 1
+            for i in _bit_indices(mask):
+                acc ^= X[i]
             if acc & removed:
                 continue  # already covered by an earlier pick
             ys.append(acc)
         ys = sorted(set(ys))
-        # incidence: rows = surviving simplices, columns = chains in Y
-        rows_cols = []
-        for y in ys:
-            col = 0
-            for pos, j in enumerate(keep_idx):
-                if (y >> j) & 1:
-                    col |= 1 << pos
-            rows_cols.append(col)
-        inst = CoverInstance(list(range(len(ys))), keep_idx, GF2Matrix(len(keep_idx), rows_cols))
+        # incidence: rows = surviving simplices, columns = chains in Y; no
+        # y meets ``removed``, so each of its bits has a position
+        position = {j: pos for pos, j in enumerate(keep_idx)}
+        cols = [_reindex(y, position) for y in ys]
+        inst = CoverInstance(list(range(len(ys))), keep_idx, GF2Matrix(len(keep_idx), cols))
         for j in greedy_set_cover(inst):
             removed |= 1 << j
     S = K.chain_from_bits(r + 1, removed)

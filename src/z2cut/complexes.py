@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .gf2 import GF2Matrix, GF2Vector
+from .gf2 import GF2Matrix, GF2Vector, _bit_indices
 
 __all__ = [
     "Simplex",
@@ -129,14 +129,8 @@ class Complex:
 
     def members(self, c: Chain) -> List[Simplex]:
         """The simplices in a chain's support, in index order."""
-        out = []
-        bits = c.support.bits
         simp = self.simplices[c.dimension]
-        while bits:
-            i = (bits & -bits).bit_length() - 1
-            out.append(simp[i])
-            bits &= bits - 1
-        return out
+        return [simp[i] for i in _bit_indices(c.support.bits)]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -173,9 +167,12 @@ def build_complex(
 
 
 def boundary_matrix(K: Complex, p: int) -> GF2Matrix:
-    """The p-th boundary operator; the zero map (0 rows) at the window floor."""
-    if not (K.lo <= p <= K.hi):
+    """The p-th boundary operator: the zero map with 0 rows at the window
+    floor, and with no columns for any p above the window."""
+    if p < K.lo:
         raise InputError(f"dimension {p} outside window [{K.lo},{K.hi}]")
+    if p > K.hi:
+        return GF2Matrix(K.n(p - 1), [])
     if p == K.lo:
         return GF2Matrix(0, [0] * K.n(p))
     rows = K.index[p - 1]
@@ -244,48 +241,44 @@ def r_adjacency(K: Complex, r: int) -> Dict[int, set]:
     return adj
 
 
+def _surface_cofacets(K: Complex) -> Optional[Dict[Simplex, List[int]]]:
+    """Edge -> indices of its two triangles if K is a closed surface, else None.
+
+    One pass over the triangles collects the edge cofacets and every vertex
+    link; K is a closed surface when each edge has exactly two triangles and
+    each vertex link is a single circle.
+    """
+    if K.lo > 0 or K.hi < 2:
+        return None
+    cofacets: Dict[Simplex, List[int]] = {e: [] for e in K.simplices[1]}
+    links: Dict[int, Dict[int, List[int]]] = {v: {} for (v,) in K.simplices[0]}
+    for ti, t in enumerate(K.simplices[2]):
+        for e in combinations(t, 2):
+            cofacets[e].append(ti)
+        for v in t:
+            a, b = (u for u in t if u != v)
+            links[v].setdefault(a, []).append(b)
+            links[v].setdefault(b, []).append(a)
+    if any(len(ts) != 2 for ts in cofacets.values()):
+        return None
+    for link in links.values():
+        if not link or any(len(nbrs) != 2 for nbrs in link.values()):
+            return None
+        # walk the circle through one link vertex; it must reach them all
+        start = next(iter(link))
+        prev, cur, length = start, link[start][0], 1
+        while cur != start:
+            a, b = link[cur]
+            prev, cur = cur, b if a == prev else a
+            length += 1
+        if length != len(link):
+            return None
+    return cofacets
+
+
 def is_closed_surface(K: Complex) -> bool:
     """Every edge has exactly two triangles and every vertex link is a circle."""
-    if K.lo > 0 or K.hi < 2:
-        return False
-    edge_cofacets: Dict[Simplex, List[Simplex]] = {e: [] for e in K.simplices[1]}
-    for t in K.simplices[2]:
-        for e in combinations(t, 2):
-            if e not in edge_cofacets:
-                return False
-            edge_cofacets[e].append(t)
-    if any(len(ts) != 2 for ts in edge_cofacets.values()):
-        return False
-    for (v,) in K.simplices[0]:
-        link_edges = []
-        for t in K.simplices[2]:
-            if v in t:
-                link_edges.append(tuple(u for u in t if u != v))
-        if not link_edges:
-            return False
-        deg: Dict[int, int] = {}
-        for a, b in link_edges:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        if any(d != 2 for d in deg.values()):
-            return False
-        # connected check on the link graph
-        nodes = list(deg)
-        seen = {nodes[0]}
-        frontier = [nodes[0]]
-        neigh: Dict[int, List[int]] = {u: [] for u in nodes}
-        for a, b in link_edges:
-            neigh[a].append(b)
-            neigh[b].append(a)
-        while frontier:
-            u = frontier.pop()
-            for w in neigh[u]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if len(seen) != len(nodes):
-            return False
-    return True
+    return _surface_cofacets(K) is not None
 
 
 def dual_graph(K: Complex):
@@ -293,17 +286,13 @@ def dual_graph(K: Complex):
     per primal edge.  Returns (adjacency dict, list of (t1, t2, primal edge
     index) triples aligned with the primal edge indexing).
     """
-    if not is_closed_surface(K):
+    cofacets = _surface_cofacets(K)
+    if cofacets is None:
         raise InputError("dual_graph requires a closed surface")
-    tri_idx = K.index[2]
     adj: Dict[int, set] = {i: set() for i in range(K.n(2))}
     edges = []
-    cof: Dict[Simplex, List[int]] = {e: [] for e in K.simplices[1]}
-    for t in K.simplices[2]:
-        for e in combinations(t, 2):
-            cof[e].append(tri_idx[t])
     for ei, e in enumerate(K.simplices[1]):
-        a, b = cof[e]
+        a, b = cofacets[e]
         adj[a].add(b)
         adj[b].add(a)
         edges.append((a, b, ei))

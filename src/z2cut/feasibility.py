@@ -18,19 +18,22 @@ B = colspace ∂ the r-boundaries and Z = Z_r the r-cycles:
 
 A :class:`CutInstance` validates its input and builds these matrices once,
 stored by row, and then answers any number of sets; the four public
-verifiers are one-set wrappers around it.
+verifiers are one-set wrappers around it.  Each rank is the pivot count
+after inserting the selected rows into one ``gf2`` pivot dict.  For the
+two cut tests the target is an extra column at bit w, past the w columns
+of the matrix; pivots are keyed by lowest set bit, so key w is present
+exactly when e_w is in the row space, i.e. when the target restricted to
+S lies outside the column space.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .complexes import Chain, Complex, boundary_matrix
 from .errors import InputError
-from .gf2 import GF2Matrix, in_colspace, kernel_basis, solve
-from .homology import _bit_indices, _boundary_or_zero
+from .gf2 import GF2Matrix, Pivots, _bit_indices, _insert, in_colspace, kernel_basis, solve
 
 __all__ = [
     "FeasibilityReport",
@@ -47,7 +50,6 @@ class FeasibilityReport:
     verdict: bool
     method: str
     ranks: Dict[str, int] = field(default_factory=dict)
-    elapsed: float = 0.0
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -70,38 +72,11 @@ def _require_set(K: Complex, S: Chain, dimension: int, what: str) -> None:
         raise InputError("solution set does not belong to this complex")
 
 
-def _rows(M: GF2Matrix) -> List[int]:
-    """M stored by row: bit j of row i is entry (i, j)."""
-    rows = [0] * M.nrows
-    for j, col in enumerate(M.cols):
-        while col:
-            i = (col & -col).bit_length() - 1
-            rows[i] |= 1 << j
-            col &= col - 1
-    return rows
-
-
-def _augment(rows: List[int], target: int) -> List[int]:
-    """Each row shifted up one bit, with the target's coordinate as bit 0."""
-    return [(row << 1) | ((target >> i) & 1) for i, row in enumerate(rows)]
-
-
-def _row_echelon(rows: List[int], S: Iterable[int]) -> Dict[int, int]:
-    """Echelon basis of the rows indexed by S, keyed by leading (highest) bit.
-
-    For augmented rows, key 0 is present iff the target column is outside
-    the span of the others restricted to S.
-    """
-    pivots: Dict[int, int] = {}
+def _pivots(rows: List[int], S: List[int]) -> Pivots:
+    """The rows indexed by S reduced into one pivot dict; its size is their rank."""
+    pivots: Pivots = {}
     for i in S:
-        row = rows[i]
-        while row:
-            lead = row.bit_length() - 1
-            p = pivots.get(lead)
-            if p is None:
-                pivots[lead] = row
-                break
-            row ^= p
+        _insert(pivots, rows[i])
     return pivots
 
 
@@ -116,17 +91,24 @@ class CutInstance:
     kept, stored by row.
     """
 
-    __slots__ = ("K", "r", "boundary", "_augmented", "_bd_rows", "_cycle_rows", "_ker_rows")
+    __slots__ = ("K", "r", "boundary", "_augmented", "_w", "_bd_rows", "_cycle_rows", "_ker_rows")
 
     def __init__(self, K: Complex, r: int) -> None:
         self.K = K
         self.r = r
-        self.boundary = _boundary_or_zero(K, r + 1)
-        # rows of [∂ | zeta] (for_ths) or [ker ∂ | x0] (for_bnt), the last column as bit 0
+        self.boundary = boundary_matrix(K, r + 1)
+        # rows of [∂ | zeta] (for_ths) or [ker ∂ | x0] (for_bnt), the target
+        # column as bit _w, the column count of ∂ or of ker ∂
         self._augmented: List[int] = []
+        self._w = 0
         self._bd_rows: Optional[List[int]] = None
         self._cycle_rows: Optional[List[int]] = None
         self._ker_rows: Optional[List[int]] = None
+
+    def _augment(self, M: GF2Matrix, target: int) -> None:
+        """Keep the rows of [M | target], the target's coordinate as bit w = M.ncols."""
+        self._w = w = M.ncols
+        self._augmented = [row | ((target >> i) & 1) << w for i, row in enumerate(M.rows())]
 
     @classmethod
     def for_ths(cls, K: Complex, zeta: Chain) -> "CutInstance":
@@ -134,7 +116,7 @@ class CutInstance:
         _require_cycle(K, zeta)
         if in_colspace(inst.boundary, zeta.support):
             raise InputError("input cycle bounds; a non-bounding cycle is required")
-        inst._augmented = _augment(_rows(inst.boundary), zeta.support.bits)
+        inst._augment(inst.boundary, zeta.support.bits)
         return inst
 
     @classmethod
@@ -143,7 +125,7 @@ class CutInstance:
         x0 = solve(inst.boundary, zeta.support)
         if x0 is None:
             raise InputError("input cycle does not bound; a bounding cycle is required")
-        inst._augmented = _augment(_rows(kernel_basis(inst.boundary)), x0.bits)
+        inst._augment(kernel_basis(inst.boundary), x0.bits)
         return inst
 
     def cut(self, S: Iterable[int]) -> Tuple[bool, Dict[str, int]]:
@@ -155,18 +137,20 @@ class CutInstance:
         ranks are those of P_S M and of [P_S M | target|_S].
         """
         S = list(S)
-        pivots = _row_echelon(self._augmented, S)
-        verdict = 0 in pivots
+        pivots = _pivots(self._augmented, S)
+        verdict = self._w in pivots
         return verdict, {"size_S": len(S), "rank_S": len(pivots) - verdict, "rank_augmented_S": len(pivots)}
 
     def global_ths(self, S: Iterable[int]) -> Tuple[bool, Dict[str, int]]:
         """Does H_r(K_S) -> H_r(K) miss a class: rank P_S Z_r > rank P_S ∂_{r+1}."""
         if self._cycle_rows is None:
-            self._cycle_rows = _rows(kernel_basis(boundary_matrix(self.K, self.r)))
-            self._bd_rows = _rows(self.boundary)
+            if self.r > self.K.hi:  # Z_r needs ∂_r, which the window does not hold
+                raise InputError(f"dimension {self.r} outside window [{self.K.lo},{self.K.hi}]")
+            self._cycle_rows = kernel_basis(boundary_matrix(self.K, self.r)).rows()
+            self._bd_rows = self.boundary.rows()
         S = list(S)
-        rank_cycles = len(_row_echelon(self._cycle_rows, S))
-        rank_boundary = len(_row_echelon(self._bd_rows, S))
+        rank_cycles = len(_pivots(self._cycle_rows, S))
+        rank_boundary = len(_pivots(self._bd_rows, S))
         return rank_cycles > rank_boundary, {
             "size_S": len(S),
             "rank_cycles_S": rank_cycles,
@@ -176,39 +160,35 @@ class CutInstance:
     def global_bnt(self, S: Iterable[int]) -> Tuple[bool, Dict[str, int]]:
         """Does removing S lower rank ∂_{r+1}: rank P_S ker ∂_{r+1} < |S|."""
         if self._ker_rows is None:
-            self._ker_rows = _rows(kernel_basis(self.boundary))
+            self._ker_rows = kernel_basis(self.boundary).rows()
         S = list(S)
-        rank_kernel = len(_row_echelon(self._ker_rows, S))
+        rank_kernel = len(_pivots(self._ker_rows, S))
         return rank_kernel < len(S), {"size_S": len(S), "rank_kernel_S": rank_kernel}
 
 
-def _report(method: str, t0: float, answer: Tuple[bool, Dict[str, int]]) -> FeasibilityReport:
-    return FeasibilityReport(answer[0], method, answer[1], time.perf_counter() - t0)
+def _report(method: str, answer: Tuple[bool, Dict[str, int]]) -> FeasibilityReport:
+    return FeasibilityReport(answer[0], method, answer[1])
 
 
 def is_ths_feasible(K: Complex, zeta: Chain, S: Chain) -> FeasibilityReport:
     """Does S meet every cycle homologous to zeta?"""
-    t0 = time.perf_counter()
     _require_set(K, S, zeta.dimension, "solution set must consist of simplices of zeta's dimension")
-    return _report("projected-boundary-colspace", t0, CutInstance.for_ths(K, zeta).cut(_bit_indices(S.support.bits)))
+    return _report("projected-boundary-colspace", CutInstance.for_ths(K, zeta).cut(_bit_indices(S.support.bits)))
 
 
 def is_bnt_feasible(K: Complex, zeta: Chain, S: Chain) -> FeasibilityReport:
     """Does removing S in dimension r+1 make zeta non-bounding?"""
-    t0 = time.perf_counter()
     _require_set(K, S, zeta.dimension + 1, "solution set must consist of (r+1)-simplices")
-    return _report("projected-kernel-colspace", t0, CutInstance.for_bnt(K, zeta).cut(_bit_indices(S.support.bits)))
+    return _report("projected-kernel-colspace", CutInstance.for_bnt(K, zeta).cut(_bit_indices(S.support.bits)))
 
 
 def is_global_ths_solution(K: Complex, r: int, S: Chain) -> FeasibilityReport:
     """Is the inclusion-induced map H_r(K_S) -> H_r(K) non-surjective?"""
-    t0 = time.perf_counter()
     _require_set(K, S, r, "solution set must consist of r-simplices")
-    return _report("projected-cycle-rank", t0, CutInstance(K, r).global_ths(_bit_indices(S.support.bits)))
+    return _report("projected-cycle-rank", CutInstance(K, r).global_ths(_bit_indices(S.support.bits)))
 
 
 def is_global_bnt_solution(K: Complex, r: int, S: Chain) -> FeasibilityReport:
     """Does removing S strictly shrink the boundary space in dimension r?"""
-    t0 = time.perf_counter()
     _require_set(K, S, r + 1, "solution set must consist of (r+1)-simplices")
-    return _report("projected-kernel-rank", t0, CutInstance(K, r).global_bnt(_bit_indices(S.support.bits)))
+    return _report("projected-kernel-rank", CutInstance(K, r).global_bnt(_bit_indices(S.support.bits)))

@@ -13,12 +13,18 @@ outputs do not depend on the order of reduction.  Column j becomes a pivot
 exactly when it lies outside the span of the columns before it, and the
 solution of ``solve`` and each kernel vector are the unique combinations of
 those pivot columns, so any correct reduction returns the same bits.
+
+The cut tests of ``feasibility`` use the same reducer on matrix rows:
+inserting the rows a set selects into one pivot dict gives their rank.
+This module is also the only one that transposes a matrix
+(:meth:`GF2Matrix.rows`) or walks the set bits of a bitset
+(``_bit_indices``, ``_reindex``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import InputError
 
@@ -92,15 +98,38 @@ class GF2Matrix:
         if x.length != self.ncols:
             raise InputError("matvec dimension mismatch")
         acc = 0
-        bits = x.bits
-        while bits:
-            j = (bits & -bits).bit_length() - 1
+        for j in _bit_indices(x.bits):
             acc ^= self.cols[j]
-            bits &= bits - 1
         return GF2Vector(self.nrows, acc)
 
     def entry(self, i: int, j: int) -> int:
         return (self.cols[j] >> i) & 1
+
+    def rows(self) -> List[int]:
+        """The transpose, one bitset per row: bit j of rows()[i] is entry (i, j)."""
+        rows = [0] * self.nrows
+        for j, col in enumerate(self.cols):
+            bit = 1 << j
+            for i in _bit_indices(col):
+                rows[i] |= bit
+        return rows
+
+
+def _bit_indices(bits: int) -> List[int]:
+    """The set bits of ``bits``, ascending."""
+    out = []
+    while bits:
+        out.append((bits & -bits).bit_length() - 1)
+        bits &= bits - 1
+    return out
+
+
+def _reindex(bits: int, target: Union[Sequence[int], Mapping[int, int]]) -> int:
+    """Move bit i of ``bits`` to bit target[i]; every set bit needs an entry."""
+    out = 0
+    for i in _bit_indices(bits):
+        out |= 1 << target[i]
+    return out
 
 
 def _reduce(pivots: Pivots, v: int, combo: int = 0) -> Tuple[int, int]:
@@ -119,10 +148,21 @@ def _reduce(pivots: Pivots, v: int, combo: int = 0) -> Tuple[int, int]:
 
 
 def _insert(pivots: Pivots, v: int, combo: int = 0) -> Tuple[int, int]:
-    """Reduce v and keep a nonzero residue as the pivot at its lowest bit."""
-    v, combo = _reduce(pivots, v, combo)
-    if v:
-        pivots[(v & -v).bit_length() - 1] = (v, combo)
+    """Reduce v as :func:`_reduce` does and keep a nonzero residue as the
+    pivot at its lowest bit.
+
+    The loop is repeated here rather than calling ``_reduce``: a cut test
+    inserts a few rows and runs thousands of times per FPT solve, and the
+    second call per row made it about 30% slower.
+    """
+    while v:
+        low = (v & -v).bit_length() - 1
+        p = pivots.get(low)
+        if p is None:
+            pivots[low] = (v, combo)
+            break
+        v ^= p[0]
+        combo ^= p[1]
     return v, combo
 
 

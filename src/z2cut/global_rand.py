@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .bnt_greedy import solve_bnt_greedy
-from .complexes import Chain, Complex
+from .complexes import Chain, Complex, boundary_matrix
 from .errors import InputError
 from .feasibility import CutInstance
 from .fpt_ths import FPTConfig, solve_ths_fpt
-from .gf2 import GF2Matrix, GF2Vector, column_space_pivots
-from .homology import HomologyBasis, _bit_indices, _boundary_or_zero, homology_basis
+from .gf2 import GF2Matrix, GF2Vector, _bit_indices, column_space_pivots
+from .homology import HomologyBasis, homology_basis
 
 __all__ = [
     "RandomizedRun",
@@ -94,7 +94,7 @@ def _draw_bounding(K: Complex, r: int, B: GF2Matrix, pivots: List[int], seed: in
 
 def random_bounding_cycle(K: Complex, r: int, seed: int) -> Chain:
     """Uniform nonzero combination of a boundary-space basis."""
-    B = _boundary_or_zero(K, r + 1)
+    B = boundary_matrix(K, r + 1)
     return _draw_bounding(K, r, B, column_space_pivots(B), seed)
 
 

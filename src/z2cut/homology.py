@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Tuple
 
 from .complexes import Chain, Complex, boundary_matrix, dual_graph
 from .errors import InputError, InternalError
-from .gf2 import GF2Matrix, GF2Vector, Pivots, _insert, kernel_basis, rank, solve
+from .gf2 import GF2Matrix, GF2Vector, Pivots, _bit_indices, _insert, _reindex, kernel_basis, rank, solve
 
 __all__ = [
     "HomologyBasis",
@@ -79,19 +79,12 @@ class HomologyBasis:
         return self.K.chain_from_bits(self.dimension, bits)
 
 
-def _boundary_or_zero(K: Complex, p: int) -> GF2Matrix:
-    """∂_p, with the zero map when p falls outside the window above/below."""
-    if p > K.hi:
-        return GF2Matrix(K.n(p - 1), [])
-    return boundary_matrix(K, p)
-
-
 def betti(K: Complex, p: int) -> int:
     if not (K.lo <= p <= K.hi):
         raise InputError(f"dimension {p} outside window [{K.lo},{K.hi}]")
     dp = boundary_matrix(K, p)
     cycles = K.n(p) - rank(dp)
-    return cycles - rank(_boundary_or_zero(K, p + 1))
+    return cycles - rank(boundary_matrix(K, p + 1))
 
 
 def homology_basis(K: Complex, p: int) -> HomologyBasis:
@@ -99,7 +92,7 @@ def homology_basis(K: Complex, p: int) -> HomologyBasis:
     while independent modulo the boundary columns."""
     if not (K.lo <= p <= K.hi):
         raise InputError(f"dimension {p} outside window [{K.lo},{K.hi}]")
-    bmat = _boundary_or_zero(K, p + 1)
+    bmat = boundary_matrix(K, p + 1)
     ker = kernel_basis(boundary_matrix(K, p))
     pivots: Pivots = {}
     for col in bmat.cols:
@@ -178,22 +171,6 @@ def _horton_greedy(
             if len(chosen) == beta:
                 return chosen
     raise InternalError("candidate cycles failed to span the annotations")
-
-
-def _bit_indices(bits: int) -> List[int]:
-    out = []
-    while bits:
-        out.append((bits & -bits).bit_length() - 1)
-        bits &= bits - 1
-    return out
-
-
-def _reindex(bits: int, target: List[int]) -> int:
-    """Move bit i of ``bits`` to bit target[i]."""
-    out = 0
-    for i in _bit_indices(bits):
-        out |= 1 << target[i]
-    return out
 
 
 def min_homology_basis(K: Complex, p: int = 1) -> List[WeightedChain]:

@@ -418,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cycle", required=True, help=".chn chain file")
         p.add_argument("--json", metavar="PATH", help="write a replayable run report")
         if rand:
-            p.add_argument("--seed", type=int, help="trial seed (required with --json)")
+            p.add_argument("--seed", type=int, required=True, help="trial seed")
             p.add_argument("--trials", type=int, default=16)
 
     p = sub.add_parser("ths-surface", help="exact hitting set on a closed surface")
@@ -497,8 +497,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _run(args: argparse.Namespace, report: _Report) -> int:
     """The subcommand's exit code, with input and resource errors mapped to 2 and 3."""
     try:
-        if getattr(args, "json", None) and hasattr(args, "seed") and args.seed is None:
-            raise InputError("--seed is required when --json is requested")
         if args.cmd == "verify" and args.kind in ("ths", "bnt") and not args.cycle:
             raise InputError(f"verify {args.kind} needs --cycle")
         if args.cmd == "verify" and args.kind.startswith("global") and args.dim is None:

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Set
 
-from .complexes import Chain, Complex, dual_graph, remove_closure
+from .complexes import Chain, Complex, boundary_matrix, dual_graph, remove_closure
 from .errors import InputError, ResourceError
 from .feasibility import is_ths_feasible
 from .gf2 import GF2Matrix, column_space_pivots, in_colspace, kernel_basis, rank, relative_rank, solve
-from .homology import _boundary_or_zero, betti, homology_basis
+from .homology import betti, homology_basis
 
 __all__ = [
     "OracleBudget",
@@ -39,7 +39,7 @@ class OracleBudget:
 def enumerate_homologous(K: Complex, zeta: Chain, budget: OracleBudget = OracleBudget()) -> List[Chain]:
     """All cycles homologous to zeta: one representative per boundary."""
     r = zeta.dimension
-    B = _boundary_or_zero(K, r + 1)
+    B = boundary_matrix(K, r + 1)
     pivots = column_space_pivots(B)
     if 1 << len(pivots) > budget.max_enumeration:
         raise ResourceError(f"2^{len(pivots)} homologous cycles exceed budget")
@@ -52,7 +52,7 @@ def enumerate_homologous(K: Complex, zeta: Chain, budget: OracleBudget = OracleB
 def enumerate_boundary_chains(K: Complex, zeta: Chain, budget: OracleBudget = OracleBudget()) -> List[Chain]:
     """The full solution coset {x : boundary(x) = zeta} in dimension r+1."""
     r = zeta.dimension
-    B = _boundary_or_zero(K, r + 1)
+    B = boundary_matrix(K, r + 1)
     x0 = solve(B, zeta.support)
     if x0 is None:
         raise InputError("chain does not bound in this complex")
@@ -171,25 +171,25 @@ def _surviving_cycles(K: Complex, S: Chain) -> List[int]:
 def surviving_basis_ths(K: Complex, zeta: Chain, S: Chain) -> bool:
     """THS: zeta is outside the span of K_S's homology basis and K's boundaries."""
     r = zeta.dimension
-    B = _boundary_or_zero(K, r + 1)
+    B = boundary_matrix(K, r + 1)
     return not in_colspace(GF2Matrix(K.n(r), _surviving_cycles(K, S) + B.cols), zeta.support)
 
 
 def surviving_basis_global_ths(K: Complex, r: int, S: Chain) -> bool:
     """Global THS: K_S's homology basis spans fewer than beta_r classes of K."""
-    B = _boundary_or_zero(K, r + 1)
+    B = boundary_matrix(K, r + 1)
     return relative_rank(B, GF2Matrix(K.n(r), _surviving_cycles(K, S))) < betti(K, r)
 
 
 def restricted_solve_bnt(K: Complex, zeta: Chain, S: Chain) -> bool:
     """BNT: zeta has no preimage among the (r+1)-simplices outside S."""
-    B = _boundary_or_zero(K, zeta.dimension + 1)
+    B = boundary_matrix(K, zeta.dimension + 1)
     kept = [c for i, c in enumerate(B.cols) if not S.support.get(i)]
     return solve(GF2Matrix(B.nrows, kept), zeta.support) is None
 
 
 def rank_drop_global_bnt(K: Complex, r: int, S: Chain) -> bool:
     """Global BNT: the columns outside S have lower rank than all of ∂_{r+1}."""
-    B = _boundary_or_zero(K, r + 1)
+    B = boundary_matrix(K, r + 1)
     kept = [c for i, c in enumerate(B.cols) if not S.support.get(i)]
     return rank(GF2Matrix(B.nrows, kept)) < rank(B)

@@ -49,6 +49,11 @@ def test_boundary_zero_rows_at_window_floor():
     K = build_complex([(0, 1, 2)], (1, 2))
     d1 = boundary_matrix(K, 1)
     assert d1.nrows == 0 and len(d1.cols) == 3
+    # above the window: the zero map from nothing into the top simplices
+    d3 = boundary_matrix(K, 3)
+    assert d3.nrows == 1 and d3.cols == []
+    with pytest.raises(InputError):
+        boundary_matrix(K, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,6 +93,14 @@ def test_surface_predicates(torus, tetra):
         [(0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (0, 2, 5), (0, 3, 5)], (0, 2)
     )
     assert not is_closed_surface(annulus)
+    # two tori sharing one vertex: every edge still has two triangles, but
+    # the shared vertex's link is two circles
+    tris = list(torus[0].simplices[2])
+    shift = max(v for t in tris for v in t)
+    pinched = build_complex(tris + [tuple(v + shift for v in t) for t in tris], (0, 2))
+    assert not is_closed_surface(pinched)
+    with pytest.raises(InputError):
+        dual_graph(pinched)
 
 
 def test_dual_graph_torus(torus):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from z2cut.gf2 import (
     GF2Matrix,
     GF2Vector,
+    _bit_indices,
+    _reindex,
     column_space_pivots,
     in_colspace,
     kernel_basis,
@@ -132,3 +134,9 @@ def test_elimination_contract_against_brute_force_spans(system):
     got = solve(A, GF2Vector(nrows, b))
     assert (got.bits if got is not None else None) == x
     assert in_colspace(A, GF2Vector(nrows, b)) == (x is not None)
+    rows = A.rows()
+    assert len(rows) == nrows
+    assert all(rows[i] >> j & 1 == A.entry(i, j) for i in range(nrows) for j in range(len(cols)))
+    assert _bit_indices(b) == [i for i in range(nrows) if b >> i & 1]
+    target = [2 * i + 1 for i in range(nrows)]
+    assert _reindex(b, target) == sum(1 << target[i] for i in range(nrows) if b >> i & 1)

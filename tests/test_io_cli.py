@@ -147,9 +147,11 @@ def test_cli_json_artifact_replays(torus_files, tmp_path, capsys):
 
 def test_cli_seed_required_with_json(torus_files, tmp_path, capsys):
     scx, _, _ = torus_files
-    code = main(["global-ths", "--complex", scx, "--dim", "1", "--k", "6",
-                 "--json", str(tmp_path / "x.json")])
-    assert code == 2
+    for cmd, extra in (("global-ths", ["--k", "6"]), ("global-bnt", [])):
+        args = [cmd, "--complex", scx, "--dim", "1"] + extra
+        assert main(args + ["--json", str(tmp_path / "x.json")]) == 2
+        assert main(args) == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 def test_cli_gen_gadget_round_trip(tmp_path, capsys):
