@@ -61,13 +61,11 @@ def _require_cycle(K: Complex, zeta: Chain) -> None:
         raise InputError("input chain is not a cycle")
 
 
-def _require_nonbounding(K: Complex, zeta: Chain) -> None:
-    CutInstance.for_ths(K, zeta)
-
-
 def _require_set(K: Complex, S: Chain, dimension: int, what: str) -> None:
     if S.dimension != dimension:
         raise InputError(what)
+    if not K.lo <= dimension <= K.hi:
+        raise InputError(f"dimension {dimension} outside window [{K.lo},{K.hi}]")
     if S.support.length != K.n(dimension):
         raise InputError("solution set does not belong to this complex")
 

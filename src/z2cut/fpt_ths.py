@@ -1,16 +1,15 @@
 """Fixed-parameter topological hitting set (parameter: size bound + degree).
 
 Minimal solutions induce connected subgraphs of the share-a-cofacet
-adjacency, and lie within adjacency-distance k of each of their members;
-so for every r-simplex we enumerate the connected supersets of size at
-most k inside its radius-k ball and keep the best feasible one.  Every
-candidate is tested against one ``CutInstance`` built per solve, a rank
-test on at most k rows.
+adjacency, so the search enumerates every connected set of at most k
+r-simplices once, from its least member: from a center tau it extends
+only by neighbours u > tau (the ESU rule; Wernicke, "Efficient detection
+of network motifs", 2006).  Every candidate is tested against one
+``CutInstance`` built per solve, a rank test on at most k rows.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Set, Tuple
 
@@ -32,11 +31,11 @@ class FPTConfig:
 
 
 def enumerate_connected_sets(G: Dict[int, Set[int]], v: int, k: int) -> Iterator[frozenset]:
-    """Every connected node set of size <= k containing v, exactly once.
+    """Every connected node set of size <= k whose least member is v, exactly once.
 
-    Extension candidates are scanned lowest-index first; a candidate
-    skipped at one branch is banned below it, which is what makes each
-    set appear once.
+    A set grows only by neighbours above v.  Extension candidates are
+    scanned lowest-index first; a candidate skipped at one branch is
+    banned below it, so no set is reached along two branches.
     """
     if k < 1:
         raise InputError("size budget k must be >= 1")
@@ -45,53 +44,31 @@ def enumerate_connected_sets(G: Dict[int, Set[int]], v: int, k: int) -> Iterator
         yield cur
         if len(cur) == k:
             return
-        ext = sorted(u for c in cur for u in G[c] if u not in cur and u not in banned)
-        seen_here: list = []
-        for u in ext:
-            if u in seen_here:
-                continue
-            seen_here.append(u)
-            yield from rec(cur | {u}, banned | frozenset(seen_here[:-1]))
+        ext = sorted({u for c in cur for u in G[c] if u > v} - cur - banned)
+        for i, u in enumerate(ext):
+            yield from rec(cur | {u}, banned | frozenset(ext[:i]))
 
     yield from rec(frozenset([v]), frozenset())
-
-
-def _ball(G: Dict[int, Set[int]], v: int, radius: int) -> Set[int]:
-    seen = {v}
-    frontier = deque([(v, 0)])
-    while frontier:
-        u, d = frontier.popleft()
-        if d == radius:
-            continue
-        for w in G[u]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append((w, d + 1))
-    return seen
 
 
 def solve_ths_fpt(K: Complex, zeta: Chain, config: FPTConfig) -> Optional[Chain]:
     """Minimum hitting set of size <= k, or None.
 
-    Ties break by lexicographic sorted-index order.  Candidate counts per
-    ball center are recorded in ``config.stats``.
+    Ties break by lexicographic sorted-index order.  ``config.stats``
+    records the distinct connected sets enumerated (``candidates``), the
+    most whose least member is one simplex (``max_per_center``) and the
+    improving feasible ones (``feasible``).
     """
     r = zeta.dimension
     k = config.k
     inst = CutInstance.for_ths(K, zeta)
     adj = r_adjacency(K, r)
-    seen: Set[frozenset] = set()
     best: Optional[Tuple[int, Tuple[int, ...]]] = None
     config.stats = {"candidates": 0, "max_per_center": 0, "feasible": 0}
     for tau in range(K.n(r)):
-        ball = _ball(adj, tau, k)
-        sub = {u: adj[u] & ball for u in ball}
         per_center = 0
-        for cand in enumerate_connected_sets(sub, tau, k):
+        for cand in enumerate_connected_sets(adj, tau, k):
             per_center += 1
-            if cand in seen:
-                continue
-            seen.add(cand)
             key = (len(cand), tuple(sorted(cand)))
             if best is not None and key >= best:
                 continue

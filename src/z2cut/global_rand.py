@@ -86,9 +86,8 @@ def _draw_bounding(K: Complex, r: int, B: GF2Matrix, pivots: List[int], seed: in
     rng = splitmix64(seed)
     x = _random_nonzero_bits(len(pivots), rng)
     acc = 0
-    for pos, j in enumerate(pivots):
-        if (x >> pos) & 1:
-            acc ^= B.cols[j]
+    for pos in _bit_indices(x):
+        acc ^= B.cols[pivots[pos]]
     return K.chain_from_bits(r, acc)
 
 

@@ -73,9 +73,8 @@ class HomologyBasis:
         if coeffs.length != len(self.cycles):
             raise InputError("combine: coefficient length mismatch")
         bits = 0
-        for i, c in enumerate(self.cycles):
-            if coeffs.get(i):
-                bits ^= c.support.bits
+        for i in _bit_indices(coeffs.bits):
+            bits ^= self.cycles[i].support.bits
         return self.K.chain_from_bits(self.dimension, bits)
 
 

@@ -14,7 +14,7 @@ from typing import Dict
 
 from .complexes import Chain, Complex, boundary_matrix, dual_graph, evaluate
 from .errors import InputError, InternalError
-from .feasibility import FeasibilityReport, is_ths_feasible, _require_nonbounding
+from .feasibility import CutInstance, FeasibilityReport, is_ths_feasible
 from .gf2 import GF2Matrix, in_colspace
 from .homology import min_cohomology_basis
 
@@ -94,7 +94,7 @@ def solve_ths_surface(K: Complex, zeta: Chain) -> SurfaceTHSResult:
     """Smallest-weight basis cocycle pairing oddly with the input class."""
     if zeta.dimension != 1:
         raise InputError("surface hitting set runs in dimension 1")
-    _require_nonbounding(K, zeta)
+    CutInstance.for_ths(K, zeta)  # InputError unless zeta is a non-bounding cycle
     basis = min_cohomology_basis(K)
     for i, wc in enumerate(basis):
         if evaluate(wc.chain, zeta):

@@ -52,9 +52,16 @@ def test_set_from_another_complex_is_rejected(torus, tetra):
         is_ths_feasible(K, zeta, foreign)
     with pytest.raises(InputError):
         is_global_ths_solution(K, 1, foreign)
-    # H_3 of a complex windowed to [0, 2] is not known: no verdict
-    with pytest.raises(InputError):
-        is_global_ths_solution(K, 3, K.chain_from_bits(3, 0))
+    # a complex windowed to [0, 2] knows nothing of its 3-simplices: no verdict
+    empty3 = K.chain_from_bits(3, 0)
+    for verify in (
+        lambda: is_ths_feasible(K, empty3, empty3),
+        lambda: is_bnt_feasible(K, K.chain_from_bits(2, 0), empty3),
+        lambda: is_global_ths_solution(K, 3, empty3),
+        lambda: is_global_bnt_solution(K, 2, empty3),
+    ):
+        with pytest.raises(InputError, match="outside window"):
+            verify()
 
 
 def test_bnt_requires_bounding(torus):

@@ -1,8 +1,11 @@
 """Parameterized hitting-set search over connected Hasse-neighborhoods."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_complex
 from z2cut.canonical import gen_canonical
@@ -19,14 +22,49 @@ def test_config_validates():
         FPTConfig(k=0)
 
 
+def _connected(G, S):
+    S = set(S)
+    stack = [min(S)]
+    reached = set(stack)
+    while stack:
+        for u in G[stack.pop()] & S - reached:
+            reached.add(u)
+            stack.append(u)
+    return reached == S
+
+
+def _brute_connected_sets(G, k):
+    return [frozenset(S) for size in range(1, k + 1) for S in combinations(sorted(G), size) if _connected(G, S)]
+
+
 def test_connected_set_enumeration_path_graph():
     adj = {0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}}
-    sets = list(enumerate_connected_sets(adj, 0, 3))
-    assert {frozenset(s) for s in sets} == {
+    assert set(enumerate_connected_sets(adj, 0, 3)) == {
         frozenset({0}),
         frozenset({0, 1}),
         frozenset({0, 1, 2}),
     }
+    # sets through 0 belong to the start at 0, not to the start at 1
+    assert set(enumerate_connected_sets(adj, 1, 3)) == {
+        frozenset({1}),
+        frozenset({1, 2}),
+        frozenset({1, 2, 3}),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7))), st.integers(1, 4))
+def test_connected_set_enumeration_matches_brute_force(n, edges, k):
+    G = {u: set() for u in range(n)}
+    for a, b in edges:
+        if a != b and max(a, b) < n:
+            G[a].add(b)
+            G[b].add(a)
+    brute = _brute_connected_sets(G, k)
+    for v in range(n):
+        got = list(enumerate_connected_sets(G, v, k))
+        assert len(got) == len(set(got)), v
+        assert set(got) == {S for S in brute if min(S) == v}, v
 
 
 def test_component_graph_fixture():
@@ -75,6 +113,9 @@ def test_candidate_envelope(torus):
     k = 4
     cfg = FPTConfig(k=k)
     solve_ths_fpt(K, zeta, cfg)
-    delta = max(len(v) for v in r_adjacency(K, 1).values())
+    adj = r_adjacency(K, 1)
+    delta = max(len(v) for v in adj.values())
     assert cfg.stats["max_per_center"] <= comb(k + k * delta, k)
+    # each connected set is enumerated once, from its least member
+    assert cfg.stats["candidates"] == len(_brute_connected_sets(adj, k))
 
