@@ -43,6 +43,11 @@ def _check_simplex(s: Sequence[int]) -> Simplex:
     return t
 
 
+def _is_weight(w: object) -> bool:
+    """Edge weights are positive finite ints or floats, not bools."""
+    return not isinstance(w, bool) and isinstance(w, (int, float)) and 0 < w < math.inf
+
+
 @dataclass(frozen=True)
 class Chain:
     """A set of same-dimension simplices of one complex, as an index bitset."""
@@ -100,7 +105,7 @@ class Complex:
                 e = _check_simplex(e)
                 if e not in self.index[1]:
                     raise InputError(f"weight given for non-edge {e}")
-                if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 < w < math.inf:
+                if not _is_weight(w):
                     raise InputError(f"weight on edge {e} must be a positive finite number, got {w!r}")
                 self.weights[e] = w
 

@@ -3,20 +3,29 @@
 Both minimum bases come from one candidate-cycle (Horton) greedy over a
 weighted graph: one shortest-path tree per vertex, one candidate cycle per
 (tree, non-tree edge) pair, kept in weight order while its annotation is
-independent of those kept before (Busaryev, Cabello, Chen, Dey and Wang,
-SWAT 2012).  The annotation is a linear map of cycles whose kernel is the
-cycles to ignore.  For homology the graph is the 1-skeleton and the
-annotation the homology coordinates.  For cohomology on a closed surface
-the graph is the dual graph, whose cycles are exactly the 1-cocycles, and
-the annotation is the pairing with a homology basis, which vanishes
-exactly on coboundaries.
+independent of those kept before.  Following Busaryev, Cabello, Chen, Dey
+and Wang (SWAT 2012), every edge carries a beta-bit annotation, and a
+cycle's annotation, the xor over its edges, is a linear map whose kernel
+is the cycles to ignore.  Each tree labels its vertices with the
+annotations of their tree paths, so a candidate is ranked by its weight
+and its annotation without being built; only proper candidates, whose
+two tree paths leave the root by different edges, are kept, and a
+candidate's edge bitset is built only in the weight groups the greedy
+reaches.  For homology the graph is the 1-skeleton and an edge's
+annotation the homology coordinates of its fundamental cycle in a
+spanning tree.  For cohomology on a closed surface the graph is the dual
+graph, whose cycles are exactly the 1-cocycles, and a dual edge's
+annotation says which homology basis cycles hold its primal edge: the
+pairing, which vanishes exactly on coboundaries.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from .complexes import Chain, Complex, boundary_matrix, dual_graph
 from .errors import InputError, InternalError
@@ -104,18 +113,28 @@ def _horton_greedy(
     nverts: int,
     ends: List[Tuple[int, int]],
     weights: List[float],
-    annotate: Callable[[int], int],
+    ann: List[int],
     beta: int,
 ) -> List[Tuple[int, float]]:
     """The first beta candidate cycles of a connected graph, in (weight,
     edge indices) order, whose annotations are independent; each as
     (edge bitset, weight).
 
-    Vertices are 0..nverts-1 and edge i joins ends[i].  Shortest-path trees
-    break ties by (distance, vertex) and scan neighbors by (vertex, edge).
+    Vertices are 0..nverts-1, edge i joins ends[i] and ann[i] is its
+    annotation, a beta-bit int; a cycle's annotation is the xor over its
+    edges.  Shortest-path trees break ties by (distance, vertex) and scan
+    neighbors by (vertex, edge).  Each tree labels every vertex with the
+    annotation of its tree path, so a candidate's annotation is the xor of
+    two labels and one edge's.  A candidate is kept only if that is nonzero
+    and the candidate is proper: its two tree paths leave the root by
+    different edges (or one end is the root), so its key
+    dist + dist + weight is the cycle's exact weight.  Edge bitsets are
+    built from the kept parent arrays only in the weight groups the greedy
+    reaches; there equal cycles are merged and ordered by (weight, edge
+    indices).  Raises InputError unless the first tree spans the graph.
     """
-    if beta == 0:
-        return []
+    if not nverts:
+        raise InputError("complex must be connected; run per component")
     adj: List[List[Tuple[int, int]]] = [[] for _ in range(nverts)]
     for ei, (a, b) in enumerate(ends):
         adj[a].append((b, ei))
@@ -123,71 +142,110 @@ def _horton_greedy(
     for nbrs in adj:
         nbrs.sort()
 
-    candidates: Dict[int, Tuple[float, Tuple[int, ...]]] = {}
+    inf = float("inf")
+    keys: List[Tuple[float, int, int]] = []
+    parents: List[List[int]] = []
     for root in range(nverts):
-        # Dijkstra; parent[v] = index of the tree edge into v
-        dist = {root: 0.0}
-        parent: Dict[int, int] = {}
-        done = set()
-        heap: List[Tuple[float, int]] = [(0.0, root)]
+        # Dijkstra; parent[v] = index of the tree edge into v, lab[v] = the
+        # annotation of the tree path to v, branch[v] = its first edge
+        dist = [inf] * nverts
+        parent = [-1] * nverts
+        lab = [0] * nverts
+        branch = [-1] * nverts
+        settled = 0
+        dist[root] = 0
+        heap: List[Tuple[float, int]] = [(0, root)]
         while heap:
             d, u = heapq.heappop(heap)
-            if u in done:
+            if d > dist[u]:  # a stale entry: u was settled closer
                 continue
-            done.add(u)
+            settled += 1
+            pe = parent[u]
+            if pe >= 0:
+                a, b = ends[pe]
+                t = a ^ b ^ u
+                lab[u] = lab[t] ^ ann[pe]
+                branch[u] = pe if t == root else branch[t]
             for v, ei in adj[u]:
                 nd = d + weights[ei]
-                if v not in dist or nd < dist[v]:
+                if nd < dist[v]:
                     dist[v] = nd
                     parent[v] = ei
                     heapq.heappush(heap, (nd, v))
-        path_bits: Dict[int, int] = {root: 0}
-
-        def tree_path(v: int) -> int:
-            stack = []
-            while v not in path_bits:
-                stack.append(v)
-                a, b = ends[parent[v]]
-                v = a if v == b else b
-            bits = path_bits[v]
-            for w in reversed(stack):
-                bits ^= 1 << parent[w]
-                path_bits[w] = bits
-            return bits
-
+        if settled < nverts:
+            raise InputError("complex must be connected; run per component")
+        if beta == 0:
+            return []
+        parents.append(parent)
         for ei, (a, b) in enumerate(ends):
-            # 0 exactly when ei is a tree edge
-            cyc = tree_path(a) ^ tree_path(b) ^ (1 << ei)
-            if cyc and cyc not in candidates:
-                idx = tuple(_bit_indices(cyc))
-                candidates[cyc] = (sum(weights[i] for i in idx), idx)
+            # tree edges and improper candidates share a branch, except a
+            # root edge, whose annotation cancels
+            if branch[a] != branch[b] and lab[a] ^ lab[b] ^ ann[ei]:
+                keys.append((dist[a] + dist[b] + weights[ei], root, ei))
+    keys.sort()
 
     chosen: List[Tuple[int, float]] = []
     pivots: Pivots = {}
-    for cyc in sorted(candidates, key=candidates.__getitem__):
-        if _insert(pivots, annotate(cyc))[0]:
-            chosen.append((cyc, candidates[cyc][0]))
-            if len(chosen) == beta:
-                return chosen
+    for _, same_weight in groupby(keys, key=itemgetter(0)):
+        group: Dict[int, int] = {}  # cycle bitset -> annotation
+        for _, root, ei in same_weight:
+            parent = parents[root]
+            cyc, x = 1 << ei, ann[ei]
+            for v in ends[ei]:
+                while v != root:
+                    pe = parent[v]
+                    cyc ^= 1 << pe
+                    x ^= ann[pe]
+                    a, b = ends[pe]
+                    v = a ^ b ^ v
+            group[cyc] = x
+        ranked = []
+        for cyc, x in group.items():
+            idx = _bit_indices(cyc)
+            ranked.append((sum(weights[i] for i in idx), idx, cyc, x))
+        ranked.sort()
+        for w, _, cyc, x in ranked:
+            if _insert(pivots, x)[0]:
+                chosen.append((cyc, w))
+                if len(chosen) == beta:
+                    return chosen
     raise InternalError("candidate cycles failed to span the annotations")
 
 
 def min_homology_basis(K: Complex, p: int = 1) -> List[WeightedChain]:
     """Minimum-weight H_1 basis, ascending by weight: the greedy on the
-    1-skeleton, annotated by homology coordinates."""
+    1-skeleton, each edge annotated by the homology coordinates of its
+    fundamental cycle in a BFS spanning tree (0 on tree edges)."""
     if p != 1:
         raise InputError("min_homology_basis supports dimension 1 only")
     if not (K.lo <= 0 and 1 <= K.hi):
         raise InputError("window must cover dimensions 0 and 1")
-    if betti(K, 0) != 1:
-        raise InputError("complex must be connected; run per component")
-    hb = homology_basis(K, 1)
+    n = K.n(0)
     vidx = K.index[0]
     ends = [(vidx[(a,)], vidx[(b,)]) for a, b in K.simplices[1]]
+    nbrs: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for ei, (a, b) in enumerate(ends):
+        nbrs[a].append((b, ei))
+        nbrs[b].append((a, ei))
+    # path[v] = edge bitset of the tree path from vertex 0 to v
+    path: List[Optional[int]] = [None] * n
+    order = [0] if n else []
+    if n:
+        path[0] = 0
+    for u in order:
+        for v, ei in nbrs[u]:
+            if path[v] is None:
+                path[v] = path[u] | 1 << ei
+                order.append(v)
+    if not n or len(order) < n:
+        raise InputError("complex must be connected; run per component")
+    hb = homology_basis(K, 1)
+    ann = []
+    for ei, (a, b) in enumerate(ends):
+        cyc = path[a] ^ path[b] ^ 1 << ei
+        ann.append(hb.coordinates(K.chain_from_bits(1, cyc)).bits if cyc else 0)
     weights = [K.edge_weight(e) for e in K.simplices[1]]
-    chosen = _horton_greedy(
-        K.n(0), ends, weights, lambda cyc: hb.coordinates(K.chain_from_bits(1, cyc)).bits, len(hb)
-    )
+    chosen = _horton_greedy(n, ends, weights, ann, len(hb))
     return [WeightedChain(K.chain_from_bits(1, cyc), w) for cyc, w in chosen]
 
 
@@ -196,12 +254,12 @@ def min_cohomology_basis(K: Complex) -> List[WeightedChain]:
     by (weight, edge indices).
 
     Each element is a nontrivial cocycle whose edges form a single circle of
-    the dual graph: the greedy on the dual graph, annotated by the pairing
-    with a homology basis.
+    the dual graph: the greedy on the dual graph, each dual edge annotated
+    by which homology basis cycles hold its primal edge.  On a closed
+    surface the complex is connected iff its dual graph is, which the
+    greedy checks.
     """
     _, dedges = dual_graph(K)
-    if betti(K, 0) != 1:
-        raise InputError("surface must be connected; run per component")
     # dual edge j joins triangles ends[j] across primal edge primal[j], in
     # (t1, t2) triangle-pair order
     order = sorted(dedges)
@@ -211,14 +269,14 @@ def min_cohomology_basis(K: Complex) -> List[WeightedChain]:
     for j, ei in enumerate(primal):
         dual[ei] = j
     weights = [K.edge_weight(K.simplices[1][ei]) for ei in primal]
-    zs = [_reindex(z.support.bits, dual) for z in homology_basis(K, 1).cycles]
-
-    def pairing(cyc: int) -> int:
-        return sum(((cyc & z).bit_count() & 1) << i for i, z in enumerate(zs))
-
+    cycles = homology_basis(K, 1).cycles
+    ann = [0] * len(primal)
+    for i, z in enumerate(cycles):
+        for ei in _bit_indices(z.support.bits):
+            ann[dual[ei]] |= 1 << i
     out = [
         WeightedChain(K.chain_from_bits(1, _reindex(cyc, primal)), w)
-        for cyc, w in _horton_greedy(K.n(2), ends, weights, pairing, len(zs))
+        for cyc, w in _horton_greedy(K.n(2), ends, weights, ann, len(cycles))
     ]
     out.sort(key=lambda wc: (wc.weight, tuple(_bit_indices(wc.chain.support.bits))))
     return out

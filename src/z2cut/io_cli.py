@@ -16,11 +16,12 @@ import hashlib
 import json
 import sys
 import time
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bnt_greedy import solve_bnt_greedy
 from .canonical import CANONICAL_NAMES, gen_canonical
-from .complexes import Chain, Complex, build_complex
+from .complexes import Chain, Complex, _is_weight, build_complex
 from .errors import InputError, ResourceError
 from .feasibility import (
     is_bnt_feasible,
@@ -71,8 +72,7 @@ def _ints(tokens: Sequence[str], lineno: int) -> List[int]:
 
 
 def _number(token: str, lineno: int) -> float:
-    """An int, or failing that a float, as ``emit_complex`` writes weights;
-    which numbers are valid weights is for ``Complex`` to decide."""
+    """An int, or failing that a float, as ``emit_complex`` writes weights."""
     try:
         return int(token)
     except ValueError:
@@ -89,6 +89,7 @@ def parse_complex(text: str) -> Complex:
     window: Optional[Tuple[int, int]] = None
     tops: List[Tuple[int, ...]] = []
     weights: Dict[Tuple[int, int], float] = {}
+    weight_lines: Dict[Tuple[int, int], int] = {}
     for lineno, toks in _tokenized(text):
         kw, rest = toks[0], toks[1:]
         if kw == "dim":
@@ -113,13 +114,26 @@ def parse_complex(text: str) -> Complex:
             if len(rest) != 3:
                 _bad(lineno, "weight takes u v w")
             u, v = _ints(rest[:2], lineno)
-            weights[(min(u, v), max(u, v))] = _number(rest[2], lineno)
+            e = (min(u, v), max(u, v))
+            if e in weight_lines:
+                _bad(lineno, f"duplicate weight for edge {e}, first given on line {weight_lines[e]}")
+            w = _number(rest[2], lineno)
+            if not _is_weight(w):
+                _bad(lineno, f"weight on edge {e} must be a positive finite number, got {rest[2]!r}")
+            weights[e], weight_lines[e] = w, lineno
         else:
             _bad(lineno, f"unknown keyword {kw!r}")
     if window is None:
         raise InputError("missing window line")
     if dim is not None and dim != window[1]:
         raise InputError(f"dim {dim} disagrees with window {window}")
+    if weights:
+        # tops above the window are rejected by build_complex, so these are
+        # exactly the complex's edges when the window holds dimension 1
+        edges = {e for t in tops for e in combinations(t, 2)} if window[0] <= 1 <= window[1] else set()
+        for e, lineno in weight_lines.items():
+            if e not in edges:
+                _bad(lineno, f"weight given for non-edge {e}")
     return build_complex(tops, window, weights or None)
 
 

@@ -14,8 +14,8 @@ from typing import Dict
 
 from .complexes import Chain, Complex, boundary_matrix, dual_graph, evaluate
 from .errors import InputError, InternalError
-from .feasibility import CutInstance, FeasibilityReport, is_ths_feasible
-from .gf2 import GF2Matrix, in_colspace
+from .feasibility import CutInstance, FeasibilityReport
+from .gf2 import GF2Matrix, _bit_indices, in_colspace
 from .homology import min_cohomology_basis
 
 __all__ = [
@@ -28,6 +28,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SurfaceTHSResult:
+    """The solution cocycle, its weight, its position ``basis_index`` in
+    ``min_cohomology_basis(K)``, and the cut test that certifies it."""
+
     solution: Chain
     weight: float
     basis_index: int
@@ -94,12 +97,12 @@ def solve_ths_surface(K: Complex, zeta: Chain) -> SurfaceTHSResult:
     """Smallest-weight basis cocycle pairing oddly with the input class."""
     if zeta.dimension != 1:
         raise InputError("surface hitting set runs in dimension 1")
-    CutInstance.for_ths(K, zeta)  # InputError unless zeta is a non-bounding cycle
-    basis = min_cohomology_basis(K)
-    for i, wc in enumerate(basis):
+    inst = CutInstance.for_ths(K, zeta)  # InputError unless zeta is a non-bounding cycle
+    for i, wc in enumerate(min_cohomology_basis(K)):
         if evaluate(wc.chain, zeta):
-            cert = is_ths_feasible(K, zeta, wc.chain)
-            if not cert.verdict:
+            verdict, ranks = inst.cut(_bit_indices(wc.chain.support.bits))
+            cert = FeasibilityReport(verdict, "projected-boundary-colspace", ranks)
+            if not verdict:
                 raise InternalError("selected basis cocycle is not feasible")
             return SurfaceTHSResult(wc.chain, wc.weight, i, cert)
     raise InternalError("no basis cocycle pairs oddly with a nontrivial cycle")

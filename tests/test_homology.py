@@ -4,10 +4,13 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_complex
 from z2cut.canonical import gen_canonical
 from z2cut.complexes import boundary_matrix, build_complex
+from z2cut.errors import InputError
 from z2cut.gf2 import GF2Matrix, GF2Vector, kernel_basis, rank
 from z2cut.homology import (
     betti,
@@ -106,33 +109,49 @@ def test_min_homology_basis_matches_brute():
 
 
 def test_min_homology_basis_random_graphs():
-    rng = random.Random(11)
-    for trial in range(8):
-        nv = 5
-        edges = set()
-        # random connected graph: a spanning path plus extras
-        for i in range(nv - 1):
-            edges.add((i, i + 1))
-        while len(edges) < 8:
-            a, b = sorted(rng.sample(range(nv), 2))
-            edges.add((a, b))
-        weights = {e: rng.randint(1, 4) for e in edges}
-        K = build_complex(sorted(edges), (0, 1), weights)
-        got = sorted(wc.weight for wc in min_homology_basis(K, 1))
-        assert got == _brute_min_basis_weights(K), trial
+    # weights 1..2 make many ties between candidate cycles
+    for top in (4, 2):
+        rng = random.Random(11)
+        for trial in range(8):
+            nv = 5
+            edges = set()
+            # random connected graph: a spanning path plus extras
+            for i in range(nv - 1):
+                edges.add((i, i + 1))
+            while len(edges) < 8:
+                a, b = sorted(rng.sample(range(nv), 2))
+                edges.add((a, b))
+            weights = {e: rng.randint(1, top) for e in edges}
+            K = build_complex(sorted(edges), (0, 1), weights)
+            got = sorted(wc.weight for wc in min_homology_basis(K, 1))
+            assert got == _brute_min_basis_weights(K), (top, trial)
 
 
-def _weighted_grid_torus(n, seed):
-    """n x n grid torus, squares cut by a diagonal, seeded weights 1..9."""
+def test_min_homology_basis_rejects_disconnected():
+    K = build_complex([(0, 1), (1, 2), (0, 2), (3, 4)], (0, 1))
+    with pytest.raises(InputError, match="connected"):
+        min_homology_basis(K, 1)
+
+
+def _grid_torus_triangles(n):
+    """The triangles of the n x n grid torus, squares cut by a diagonal."""
     tris = []
     for i in range(n):
         for j in range(n):
             a, b = i * n + j, ((i + 1) % n) * n + j
             c, d = i * n + (j + 1) % n, ((i + 1) % n) * n + (j + 1) % n
             tris += [tuple(sorted((a, b, d))), tuple(sorted((a, c, d)))]
+    return sorted(tris)
+
+
+def _grid_torus_edges(n):
+    return sorted({e for t in _grid_torus_triangles(n) for e in combinations(t, 2)})
+
+
+def _weighted_grid_torus(n, seed):
+    """n x n grid torus with seeded weights 1..9."""
     rng = random.Random(seed)
-    edges = sorted({e for t in tris for e in combinations(t, 2)})
-    return build_complex(sorted(tris), (0, 2), {e: rng.randint(1, 9) for e in edges})
+    return build_complex(_grid_torus_triangles(n), (0, 2), {e: rng.randint(1, 9) for e in _grid_torus_edges(n)})
 
 
 def _pairing(bits, hb):
@@ -201,3 +220,47 @@ def test_betti_random_complexes_euler():
         K = random_complex(seed)
         euler = K.n(0) - K.n(1) + K.n(2)
         assert euler == betti(K, 0) - betti(K, 1) + betti(K, 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=27, max_size=27))
+def test_min_cohomology_basis_matches_brute_on_tied_grids(ws):
+    """Side-3 grid tori with weights 1..3, where most candidates tie."""
+    K = build_complex(_grid_torus_triangles(3), (0, 2), dict(zip(_grid_torus_edges(3), ws)))
+    assert [wc.weight for wc in min_cohomology_basis(K)] == _brute_min_cocycle_weights(K)
+
+
+# The chains (as support bitsets) and weights of both minimum bases, recorded
+# from the candidate-bitset greedy that ranked every (root, edge) candidate.
+# Ties are broken by (weight, sorted edge indices); these pin that rule.
+_PINNED_BASES = {
+    "csaszar": (
+        [(0x4607, 6), (0x42815, 6)],
+        [(0x43, 3), (0x109, 3)],
+    ),
+    "genus2": (
+        [(0x4607, 6), (0x10100A05, 6), (0x80C070000, 6), (0x120D020000, 6)],
+        [(0x43, 3), (0x109, 3), (0x1009000, 3), (0x2011000, 3)],
+    ),
+    "unit-grid-4": (
+        [(0x100900900209, 8), (0x288011000091, 8)],
+        [(0x843, 4), (0x400400014, 4)],
+    ),
+    "weighted-grid-4-5": (
+        [(0x405005004140, 22), (0xF1D00088, 25)],
+        [(0x80021000028, 10), (0x1108C0, 12)],
+    ),
+}
+
+
+def test_min_bases_pin_tie_break(torus):
+    complexes = {
+        "csaszar": torus[0],
+        "genus2": gen_canonical("genus-g", {"g": 2})[0],
+        "unit-grid-4": build_complex(_grid_torus_triangles(4), (0, 2)),
+        "weighted-grid-4-5": _weighted_grid_torus(4, 5),
+    }
+    for name, K in complexes.items():
+        cohomology, homology = _PINNED_BASES[name]
+        assert [(wc.chain.support.bits, wc.weight) for wc in min_cohomology_basis(K)] == cohomology, name
+        assert [(wc.chain.support.bits, wc.weight) for wc in min_homology_basis(K)] == homology, name

@@ -122,6 +122,21 @@ def test_cli_ths_surface(torus_files, capsys):
     assert "cocycle weight 6 size 6" in out
 
 
+@pytest.mark.parametrize(
+    "weight_lines, lineno",
+    [
+        ("weight 0 1 0\n", 4),  # outside the weight domain
+        ("weight 0 3 2\n", 4),  # not an edge of the complex
+        ("weight 0 1 2\nweight 1 0 3\n", 5),  # the same edge twice
+    ],
+)
+def test_cli_bad_weight_names_its_line(tmp_path, capsys, weight_lines, lineno):
+    scx = _write(tmp_path, "w.scx", "dim 1\nwindow 0 1\ntop 0 1\n" + weight_lines)
+    chn = _write(tmp_path, "w.chn", "chain 1\n")
+    assert main(["ths-surface", "--complex", scx, "--cycle", chn]) == 2
+    assert f"line {lineno}:" in capsys.readouterr().err
+
+
 def test_cli_verify_exit_codes(torus_files, tmp_path, capsys):
     scx, chn, _ = torus_files
     empty = _write(tmp_path, "empty.chn", "chain 1\n")
