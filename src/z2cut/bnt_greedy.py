@@ -4,7 +4,9 @@ Repeatedly re-solve the restricted boundary system: each surviving
 preimage chain yields a fresh particular solution x; every chain with the
 right boundary is an odd combination of the x's collected so far, so a
 greedy set cover over those combinations kills the whole coset a few
-simplices at a time.
+simplices at a time.  One ``CutInstance.for_bnt`` checks that zeta bounds,
+supplies ∂ and the elimination that gives beta_(r+1) for the loop bound,
+and certifies the final cover with its cut test.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from typing import List
 
 from .complexes import Chain, Complex, boundary_matrix
 from .errors import InputError, InternalError, ResourceError
-from .feasibility import is_bnt_feasible
-from .gf2 import GF2Matrix, _bit_indices, _reindex, solve
-from .homology import betti
+from .feasibility import CutInstance
+from .gf2 import GF2Matrix, _bit_indices, _reindex, rank, solve
 
 __all__ = ["CoverInstance", "greedy_set_cover", "solve_bnt_greedy", "BETA_CAP"]
 
@@ -54,11 +55,11 @@ def greedy_set_cover(inst: CoverInstance) -> List[int]:
 def solve_bnt_greedy(K: Complex, zeta: Chain, beta_cap: int = BETA_CAP) -> Chain:
     """Smallest-ish set of (r+1)-simplices making zeta non-bounding."""
     r = zeta.dimension
-    B = boundary_matrix(K, r + 1)
+    inst = CutInstance.for_bnt(K, zeta)  # InputError unless zeta bounds
+    B = inst.boundary
     n = K.n(r + 1)
-    if solve(B, zeta.support) is None:
-        raise InputError("input cycle does not bound; nothing to nontrivialize")
-    beta_up = betti(K, r + 1) if r + 1 <= K.hi else 0
+    # beta_(r+1) = dim ker ∂_(r+1) - rank ∂_(r+2), from the elimination for_bnt made
+    beta_up = B.ncols - rank(B) - rank(boundary_matrix(K, r + 2))
     if beta_up > beta_cap:
         raise ResourceError(f"beta_(r+1) = {beta_up} exceeds the cap {beta_cap}")
     removed = 0  # bitmask over (r+1)-simplex indices
@@ -90,10 +91,9 @@ def solve_bnt_greedy(K: Complex, zeta: Chain, beta_cap: int = BETA_CAP) -> Chain
         # y meets ``removed``, so each of its bits has a position
         position = {j: pos for pos, j in enumerate(keep_idx)}
         cols = [_reindex(y, position) for y in ys]
-        inst = CoverInstance(list(range(len(ys))), keep_idx, GF2Matrix(len(keep_idx), cols))
-        for j in greedy_set_cover(inst):
+        cover = CoverInstance(list(range(len(ys))), keep_idx, GF2Matrix(len(keep_idx), cols))
+        for j in greedy_set_cover(cover):
             removed |= 1 << j
-    S = K.chain_from_bits(r + 1, removed)
-    if not is_bnt_feasible(K, zeta, S).verdict:
+    if not inst.cut(_bit_indices(removed))[0]:
         raise InternalError("greedy cover output failed the feasibility check")
-    return S
+    return K.chain_from_bits(r + 1, removed)

@@ -18,17 +18,19 @@ B = colspace ∂ the r-boundaries and Z = Z_r the r-cycles:
 
 A :class:`CutInstance` validates its input and builds these matrices once,
 stored by row, and then answers any number of sets; the four public
-verifiers are one-set wrappers around it.  Each rank is the pivot count
-after inserting the selected rows into one ``gf2`` pivot dict.  For the
-two cut tests the target is an extra column at bit w, past the w columns
-of the matrix; pivots are keyed by lowest set bit, so key w is present
-exactly when e_w is in the row space, i.e. when the target restricted to
-S lies outside the column space.
+verifiers are one-set wrappers around it.  The cut tests build only
+∂ = ∂_{r+1}; that zeta is a cycle is checked on its members' facets.
+Each rank is the pivot count after inserting the selected rows into one
+``gf2`` pivot dict.  For the two cut tests the target is an extra column
+at bit w, past the w columns of the matrix; pivots are keyed by lowest set
+bit, so key w is present exactly when e_w is in the row space, i.e. when
+the target restricted to S lies outside the column space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .complexes import Chain, Complex, boundary_matrix
@@ -55,19 +57,26 @@ class FeasibilityReport:
         return self.verdict
 
 
-def _require_cycle(K: Complex, zeta: Chain) -> None:
-    d = boundary_matrix(K, zeta.dimension)
-    if d.matvec(zeta.support).bits != 0:
-        raise InputError("input chain is not a cycle")
-
-
 def _require_set(K: Complex, S: Chain, dimension: int, what: str) -> None:
     if S.dimension != dimension:
         raise InputError(what)
     if not K.lo <= dimension <= K.hi:
         raise InputError(f"dimension {dimension} outside window [{K.lo},{K.hi}]")
     if S.support.length != K.n(dimension):
-        raise InputError("solution set does not belong to this complex")
+        raise InputError("chain does not belong to this complex")
+
+
+def _require_cycle(K: Complex, zeta: Chain) -> None:
+    """∂zeta = 0: the facets of zeta's members cancel in pairs.  As in
+    ``boundary_matrix``, every chain at the window floor is a cycle."""
+    r = zeta.dimension
+    _require_set(K, zeta, r, "")  # in the window, of this complex
+    facets = 0
+    for s in K.members(zeta) if r > K.lo else ():
+        for f in combinations(s, r):
+            facets ^= 1 << K.index[r - 1][f]
+    if facets:
+        raise InputError("input chain is not a cycle")
 
 
 def _pivots(rows: List[int], S: List[int]) -> Pivots:
@@ -110,8 +119,8 @@ class CutInstance:
 
     @classmethod
     def for_ths(cls, K: Complex, zeta: Chain) -> "CutInstance":
-        inst = cls(K, zeta.dimension)
         _require_cycle(K, zeta)
+        inst = cls(K, zeta.dimension)
         if in_colspace(inst.boundary, zeta.support):
             raise InputError("input cycle bounds; a non-bounding cycle is required")
         inst._augment(inst.boundary, zeta.support.bits)

@@ -142,8 +142,6 @@ def solve_global_bnt(
     best: Optional[Chain] = None
     for t in range(trials):
         zeta = _draw_bounding(K, r, inst.boundary, pivots, seed + t)
-        if zeta.support.bits == 0:
-            continue
         sol = solve_bnt_greedy(K, zeta)
         ok = inst.global_bnt(_bit_indices(sol.support.bits))[0]
         if run is not None:

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .complexes import Chain, Complex, boundary_matrix, dual_graph
 from .errors import InputError, InternalError
-from .gf2 import GF2Matrix, GF2Vector, Pivots, _bit_indices, _insert, _reindex, kernel_basis, rank, solve
+from .gf2 import GF2Vector, Pivots, _bit_indices, _insert, _reduce, _reindex, kernel_basis, rank
 
 __all__ = [
     "HomologyBasis",
@@ -53,15 +53,17 @@ class HomologyBasis:
     """beta_p cycles whose classes form a basis of H_p, plus coordinates.
 
     ``coordinates(z)`` returns c with z + sum(c_i * cycles[i]) a boundary.
+    Built only by :func:`homology_basis`, whose pivot dict, the fourth
+    argument, holds the columns of ∂_{p+1} (combo 0) and the accepted
+    cycles (cycle i with combo bit i) reduced together: a cycle reduces
+    to 0 over it, and the combos it picks up are its coordinates.
     """
 
-    def __init__(self, K: Complex, p: int, cycles: List[Chain], bmatrix: GF2Matrix):
+    def __init__(self, K: Complex, p: int, cycles: List[Chain], pivots: Pivots):
         self.K = K
         self.dimension = p
         self.cycles = cycles
-        # [boundary columns | basis cycles]: any cycle reduces over this
-        self._nb = bmatrix.ncols
-        self._joint = GF2Matrix(K.n(p), bmatrix.cols + [c.support.bits for c in cycles])
+        self._pivots = pivots
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -69,10 +71,10 @@ class HomologyBasis:
     def coordinates(self, z: Chain) -> GF2Vector:
         if z.dimension != self.dimension or z.support.length != self.K.n(self.dimension):
             raise InputError("coordinates: chain does not live in this complex/dimension")
-        x = solve(self._joint, z.support)
-        if x is None:
+        residue, combo = _reduce(self._pivots, z.support.bits)
+        if residue:
             raise InputError("coordinates: input is not a cycle of this complex")
-        return GF2Vector(len(self.cycles), x.bits >> self._nb)
+        return GF2Vector(len(self.cycles), combo)
 
     def is_bounding(self, z: Chain) -> bool:
         return self.coordinates(z).bits == 0
@@ -100,13 +102,14 @@ def homology_basis(K: Complex, p: int) -> HomologyBasis:
     while independent modulo the boundary columns."""
     if not (K.lo <= p <= K.hi):
         raise InputError(f"dimension {p} outside window [{K.lo},{K.hi}]")
-    bmat = boundary_matrix(K, p + 1)
-    ker = kernel_basis(boundary_matrix(K, p))
     pivots: Pivots = {}
-    for col in bmat.cols:
+    for col in boundary_matrix(K, p + 1).cols:
         _insert(pivots, col)
-    cycles = [K.chain_from_bits(p, z) for z in ker.cols if _insert(pivots, z)[0]]
-    return HomologyBasis(K, p, cycles, bmat)
+    cycles: List[Chain] = []
+    for z in kernel_basis(boundary_matrix(K, p)).cols:
+        if _insert(pivots, z, 1 << len(cycles))[0]:
+            cycles.append(K.chain_from_bits(p, z))
+    return HomologyBasis(K, p, cycles, pivots)
 
 
 def _horton_greedy(

@@ -37,20 +37,16 @@ class SurfaceTHSResult:
     certificate: FeasibilityReport
 
 
-def _delta1_applied(K: Complex, eta: Chain) -> bool:
-    """True iff the coboundary of eta vanishes (eta is a 1-cocycle)."""
-    bits = eta.support.bits
-    for col in boundary_matrix(K, 2).cols:
-        if (col & bits).bit_count() & 1:
-            return False
-    return True
+def _coboundary(K: Complex, p: int) -> GF2Matrix:
+    """delta_p, the transpose of ∂_(p+1): column j is the coboundary of p-simplex j."""
+    return GF2Matrix(K.n(p + 1), boundary_matrix(K, p + 1).rows())
 
 
 def is_connected_cocycle(K: Complex, eta: Chain) -> bool:
     """A nonempty 1-cocycle whose edges induce a connected dual subgraph."""
     if eta.dimension != 1:
         raise InputError("connected cocycles live in dimension 1")
-    if eta.support.bits == 0 or not _delta1_applied(K, eta):
+    if eta.support.bits == 0 or _coboundary(K, 1).matvec(eta.support).bits:
         return False
     _, dedges = dual_graph(K)
     nodes: set = set()
@@ -72,23 +68,13 @@ def is_connected_cocycle(K: Complex, eta: Chain) -> bool:
     return seen == nodes
 
 
-def _coboundary0(K: Complex) -> GF2Matrix:
-    """delta_0: column j is the coboundary of vertex j over the edge index."""
-    vidx = K.index[0]
-    cols = [0] * K.n(0)
-    for ei, (a, b) in enumerate(K.simplices[1]):
-        cols[vidx[(a,)]] |= 1 << ei
-        cols[vidx[(b,)]] |= 1 << ei
-    return GF2Matrix(K.n(1), cols)
-
-
 def classify_cocycle(K: Complex, eta: Chain) -> str:
     """One of 'not-cocycle', 'trivial-cocycle', 'nontrivial-cocycle'."""
     if eta.dimension != 1:
         raise InputError("classification is for 1-cochains")
-    if not _delta1_applied(K, eta):
+    if _coboundary(K, 1).matvec(eta.support).bits:
         return "not-cocycle"
-    if in_colspace(_coboundary0(K), eta.support):
+    if in_colspace(_coboundary(K, 0), eta.support):
         return "trivial-cocycle"
     return "nontrivial-cocycle"
 

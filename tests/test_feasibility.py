@@ -17,8 +17,10 @@ from z2cut.feasibility import (
     is_global_ths_solution,
     is_ths_feasible,
 )
+from z2cut.fpt_ths import FPTConfig, solve_ths_fpt
 from z2cut.global_rand import random_bounding_cycle, random_nontrivial_cycle
 from z2cut.homology import betti, homology_basis
+from z2cut.io_cli import emit_chain, emit_complex, main
 from z2cut.oracle import (
     enumerate_boundary_chains,
     enumerate_homologous,
@@ -27,6 +29,7 @@ from z2cut.oracle import (
     surviving_basis_global_ths,
     surviving_basis_ths,
 )
+from z2cut.surface_ths import solve_ths_surface
 
 
 def _enum_ths_feasible(K, zeta, S):
@@ -62,6 +65,32 @@ def test_set_from_another_complex_is_rejected(torus, tetra):
     ):
         with pytest.raises(InputError, match="outside window"):
             verify()
+
+
+def test_non_cycle_is_rejected(torus, tmp_path, capsys):
+    K, _ = torus
+    edge = K.chain_from_bits(1, 1)
+    for call in (
+        lambda: is_ths_feasible(K, edge, edge),
+        lambda: solve_ths_fpt(K, edge, FPTConfig(k=2)),
+        lambda: solve_ths_surface(K, edge),
+    ):
+        with pytest.raises(InputError, match="not a cycle"):
+            call()
+    scx, chn = tmp_path / "t.scx", tmp_path / "e.chn"
+    scx.write_text(emit_complex(K))
+    chn.write_text(emit_chain(K, edge))
+    assert main(["verify", "ths", "--complex", str(scx), "--cycle", str(chn), "--set", str(chn)]) == 2
+    assert "not a cycle" in capsys.readouterr().err
+
+
+def test_every_chain_at_the_window_floor_is_a_cycle(torus):
+    # ∂_1 is the zero map when dimension 1 is the lowest the window holds
+    K, _ = torus
+    W = build_complex(list(K.simplices[2]), (1, 2))
+    edge = W.chain_from_bits(1, 1)
+    assert not is_ths_feasible(W, edge, edge).verdict  # a triangle on the edge reroutes it
+    assert is_ths_feasible(W, edge, W.chain(1, W.simplices[1])).verdict
 
 
 def test_bnt_requires_bounding(torus):

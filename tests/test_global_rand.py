@@ -69,6 +69,7 @@ def test_global_bnt_tetra(tetra):
     K, _ = tetra
     run = RandomizedRun(seed=2, trials=8)
     sol = solve_global_bnt(K, 1, seed=2, trials=8, run=run)
+    assert [rec["trial"] for rec in run.records] == list(range(8))  # every draw is a nonzero cycle
     assert sol is not None
     assert is_global_bnt_solution(K, 1, sol).verdict
     assert sol == solve_global_bnt(K, 1, seed=2, trials=8)

@@ -56,6 +56,22 @@ def test_homology_basis_coordinates(torus):
     assert hb.coordinates(bd).bits == 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 12), st.sampled_from([1, 2]), st.data())
+def test_coordinates_recover_the_class(seed, ntri, p, data):
+    K = random_complex(seed, nv=6, ntri=ntri)
+    hb = homology_basis(K, p)
+    c = data.draw(st.integers(0, (1 << len(hb)) - 1))
+    y = data.draw(st.integers(0, (1 << K.n(p + 1)) - 1))
+    z = hb.combine(GF2Vector(len(hb), c)).support.bits
+    z ^= boundary_matrix(K, p + 1).matvec(GF2Vector(K.n(p + 1), y)).bits
+    assert hb.coordinates(K.chain_from_bits(p, z)).bits == c
+    # one more p-simplex leaves a nonzero boundary: p > 0 is above the floor
+    e = data.draw(st.integers(0, K.n(p) - 1))
+    with pytest.raises(InputError, match="not a cycle"):
+        hb.coordinates(K.chain_from_bits(p, z ^ 1 << e))
+
+
 def _brute_min_basis_weights(K):
     """All cycles by brute force; greedy minimum-weight homology basis."""
     d1 = boundary_matrix(K, 1)
