@@ -43,6 +43,11 @@ def _check_simplex(s: Sequence[int]) -> Simplex:
     return t
 
 
+def _check_window(lo: int, hi: int) -> None:
+    if lo < 0 or hi < lo:
+        raise InputError(f"bad dimension window [{lo}, {hi}]")
+
+
 def _is_weight(w: object) -> bool:
     """Edge weights are positive finite ints or floats, not bools."""
     return not isinstance(w, bool) and isinstance(w, (int, float)) and 0 < w < math.inf
@@ -80,8 +85,7 @@ class Complex:
         simplices: Dict[int, List[Simplex]],
         weights: Optional[Dict[Simplex, float]] = None,
     ):
-        if lo < 0 or hi < lo:
-            raise InputError(f"bad dimension window [{lo}, {hi}]")
+        _check_window(lo, hi)
         self.lo = lo
         self.hi = hi
         self.simplices: Dict[int, Tuple[Simplex, ...]] = {}
@@ -158,6 +162,7 @@ def build_complex(
 ) -> Complex:
     """Complex containing the given simplices and all their in-window faces."""
     lo, hi = window
+    _check_window(lo, hi)
     tops = [_check_simplex(s) for s in top_simplices]
     if len(set(tops)) != len(tops):
         raise InputError("duplicate top simplices")

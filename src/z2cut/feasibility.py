@@ -24,7 +24,9 @@ Each rank is the pivot count after inserting the selected rows into one
 ``gf2`` pivot dict.  For the two cut tests the target is an extra column
 at bit w, past the w columns of the matrix; pivots are keyed by lowest set
 bit, so key w is present exactly when e_w is in the row space, i.e. when
-the target restricted to S lies outside the column space.
+the target restricted to S lies outside the column space.  A search that
+grows its sets one member at a time keeps each set's pivot dict and adds
+one row per member (:meth:`CutInstance.grow`).
 """
 
 from __future__ import annotations
@@ -147,6 +149,18 @@ class CutInstance:
         pivots = _pivots(self._augmented, S)
         verdict = self._w in pivots
         return verdict, {"size_S": len(S), "rank_S": len(pivots) - verdict, "rank_augmented_S": len(pivots)}
+
+    def grow(self, pivots: Pivots, i: int) -> Tuple[Pivots, bool]:
+        """The pivot dict of S + {i} from that of S (left as it is), and
+        whether S + {i} is a cut.
+
+        One row is inserted into a copy, so a search that grows its sets
+        one simplex at a time never re-inserts the rows it already holds.
+        ``grow({}, i)`` starts the singleton {i}.
+        """
+        pivots = dict(pivots)
+        _insert(pivots, self._augmented[i])
+        return pivots, self._w in pivots
 
     def global_ths(self, S: Iterable[int]) -> Tuple[bool, Dict[str, int]]:
         """Does H_r(K_S) -> H_r(K) miss a class: rank P_S Z_r > rank P_S ∂_{r+1}."""

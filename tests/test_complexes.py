@@ -29,6 +29,8 @@ def test_build_rejects_bad_input():
         build_complex([(0, 0, 1)], (0, 2))
     with pytest.raises(InputError):
         build_complex([(0, 1, 2)], (2, 0))
+    with pytest.raises(InputError, match="bad dimension window"):
+        build_complex([(0, 1, 2)], (-1, 2))  # no empty simplex below dimension 0
 
 
 def test_indexing_is_lexicographic():

@@ -1,5 +1,6 @@
 """Parameterized hitting-set search over connected Hasse-neighborhoods."""
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import random_complex
 from z2cut.canonical import gen_canonical
-from z2cut.complexes import r_adjacency
+from z2cut.complexes import build_complex, r_adjacency
 from z2cut.errors import InputError
 from z2cut.feasibility import is_ths_feasible
 from z2cut.fpt_ths import FPTConfig, enumerate_connected_sets, solve_ths_fpt
+from z2cut.gf2 import GF2Vector
 from z2cut.global_rand import random_nontrivial_cycle
+from z2cut.homology import betti, homology_basis
 from z2cut.oracle import brute_ths
 
 
@@ -92,8 +95,6 @@ def test_matches_brute_on_random_complexes():
     checked = 0
     for seed in range(40):
         K = random_complex(seed)
-        from z2cut.homology import betti, homology_basis
-
         if betti(K, 1) == 0:
             continue
         zeta = homology_basis(K, 1).cycles[0]
@@ -119,3 +120,67 @@ def test_candidate_envelope(torus):
     # each connected set is enumerated once, from its least member
     assert cfg.stats["candidates"] == len(_brute_connected_sets(adj, k))
 
+
+def _classes(K):
+    """Every nonzero homology class in dimension 1, one cycle each."""
+    hb = homology_basis(K, 1)
+    return [hb.combine(GF2Vector(len(hb), bits)) for bits in range(1, 1 << len(hb))]
+
+
+def _relabeled(K, seed):
+    perm = list(range(K.n(0)))
+    random.Random(seed).shuffle(perm)
+    return build_complex([tuple(sorted(perm[x] for x in t)) for t in K.simplices[2]], (0, 2))
+
+
+def _tie_break_cases(torus):
+    """(K, zeta, brute_ths solution): the first homology cycle of every random complex
+    with beta_1 > 0 among seeds 0-149, and every class of the Csaszar torus
+    and of four relabelings of it.  On a relabeled torus the search meets
+    a lexicographically smaller optimum after a larger one from the same
+    center, which a random complex this small seldom shows."""
+    for seed in range(150):
+        K = random_complex(seed)
+        if betti(K, 1):
+            zeta = homology_basis(K, 1).cycles[0]
+            yield K, zeta, brute_ths(K, zeta, kmax=K.n(1))
+    for K in [torus[0]] + [_relabeled(torus[0], seed) for seed in range(4)]:
+        for zeta in _classes(K):
+            yield K, zeta, brute_ths(K, zeta, kmax=6)
+
+
+def test_tie_break_matches_brute_at_and_above_the_optimum(torus):
+    # the search stops below a cut and at the best size only from k = opt
+    # on, so pin the exact solution there: brute_ths returns the
+    # lexicographically least minimum set
+    cases = 0
+    for K, zeta, ref in _tie_break_cases(torus):
+        opt = len(ref)
+        for k in (opt, opt + 1, opt + 2):
+            sol = solve_ths_fpt(K, zeta, FPTConfig(k=k))
+            assert sol is not None and sol.support.bits == ref.support.bits, (K.n(1), opt, k)
+            cases += 1
+    assert cases >= 200
+
+
+def test_feasible_counts_are_pinned(torus):
+    # the improving cuts, as counted by the search that tested every
+    # connected set of size <= k: stopping early must not change them
+    cfg = FPTConfig(k=4)
+    solve_ths_fpt(*gen_canonical("component-graph"), cfg)
+    assert cfg.stats["feasible"] == 1
+    K, _ = torus
+    for zeta in _classes(K):
+        for k, feasible in ((6, 1), (7, 2), (8, 3)):
+            cfg = FPTConfig(k=k)
+            solve_ths_fpt(K, zeta, cfg)
+            assert cfg.stats["feasible"] == feasible, k
+
+
+def test_pruned_search_visits_at_most_every_connected_set(torus):
+    K, _ = torus
+    cases = [(K, zeta, 6) for zeta in _classes(K)] + [(*gen_canonical("component-graph"), k) for k in (4, 5)]
+    for K, zeta, k in cases:
+        cfg = FPTConfig(k=k)
+        assert solve_ths_fpt(K, zeta, cfg) is not None
+        assert cfg.stats["candidates"] <= len(_brute_connected_sets(r_adjacency(K, zeta.dimension), k))

@@ -222,3 +222,42 @@ def test_cli_trials_must_be_positive(torus_files, capsys):
         args = [cmd, "--complex", scx, "--dim", "1", "--seed", "1", "--trials", "0"] + extra
         assert main(args) == 2
     assert capsys.readouterr().err.count("trials must be at least 1") == 2
+
+
+def _mutate(text, data):
+    """Damage a file as a careless edit would: drop a token, put a
+    non-integer or a negative id in its place, cut the window line short,
+    or repeat a line."""
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        toks = lines[i].split()
+        op = data.draw(st.sampled_from(["drop", "replace", "window", "repeat"]))
+        if op == "drop" and toks:
+            del toks[data.draw(st.integers(0, len(toks) - 1))]
+        elif op == "replace" and toks:
+            bad = data.draw(st.sampled_from(["x", "1.5", "-1", "-7", "1e3", "0x3", "--", "99"]))
+            toks[data.draw(st.integers(0, len(toks) - 1))] = bad
+        elif op == "window":
+            i = next((j for j, line in enumerate(lines) if line.startswith("window")), i)
+            toks = lines[i].split()[: data.draw(st.integers(0, 2))]
+        elif op == "repeat":
+            toks = None
+            lines.insert(i, lines[i])
+        if toks is not None:
+            lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cli_mutated_inputs_exit_cleanly(torus, tmp_path_factory, data):
+    K, zeta = torus
+    # a few weight lines, so that their parse is damaged too
+    W = build_complex(list(K.simplices[2]), (0, 2), {e: 2 + i for i, e in enumerate(K.simplices[1][:3])})
+    d = tmp_path_factory.mktemp("mutated")
+    scx = _write(d, "m.scx", _mutate(emit_complex(W), data))
+    chn = _write(d, "m.chn", _mutate(emit_chain(K, zeta), data))
+    # exit 1 is a clean answer too: no solution within k, or verified false
+    assert main(["ths-fpt", "--complex", scx, "--cycle", chn, "--k", "6"]) in (0, 1, 2)
+    assert main(["verify", "ths", "--complex", scx, "--cycle", chn, "--set", chn]) in (0, 1, 2)

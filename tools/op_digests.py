@@ -3,9 +3,11 @@
 The hash is taken over ``perfbench.workloads.digest`` of the op's output,
 so two checkouts produce the same outputs exactly when their printouts
 are equal.  The library and the workloads are imported from the checkout
-this file lives in:
+this file lives in.  ``tools/op_digests.txt`` holds the printout of the
+committed code, and CI diffs against it, so a change to any op's output
+shows up in review as a diff of that file:
 
-    python3 tools/op_digests.py > after.txt
+    python3 tools/op_digests.py | diff -u tools/op_digests.txt -
 """
 
 import hashlib
