@@ -1,99 +1,60 @@
 """Greedy boundary nontrivialization (log-factor approximation).
 
-Repeatedly re-solve the restricted boundary system: each surviving
-preimage chain yields a fresh particular solution x; every chain with the
-right boundary is an odd combination of the x's collected so far, so a
-greedy set cover over those combinations kills the whole coset a few
-simplices at a time.  One ``CutInstance.for_bnt`` checks that zeta bounds,
-supplies ∂ and the elimination that gives beta_(r+1) for the loop bound,
-and certifies the final cover with its cut test.
+The chains with boundary zeta are the coset x0 + ker ∂_(r+1), and a set of
+(r+1)-simplices makes zeta non-bounding exactly when it meets every one of
+them.  The solver lists the 2^(dim ker ∂_(r+1)) chains of the coset, which
+is 2^beta_(r+1) on an (r+1)-dimensional complex, and runs Chvátal's greedy
+set cover on them once, so the cover is within H(|coset|) <= ln|coset| + 1
+of the optimum.  Chains are bitsets over (r+1)-simplex indices, and the
+cover picks rows of that index space.  One ``CutInstance.for_bnt`` checks
+that zeta bounds, supplies ∂ and its cached elimination, and certifies the
+cover.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
-from .complexes import Chain, Complex, boundary_matrix
+from .complexes import Chain, Complex
 from .errors import InputError, InternalError, ResourceError
 from .feasibility import CutInstance
-from .gf2 import GF2Matrix, _bit_indices, _reindex, rank, solve
+from .gf2 import GF2Matrix, kernel_basis, solve
 
-__all__ = ["CoverInstance", "greedy_set_cover", "solve_bnt_greedy", "BETA_CAP"]
+__all__ = ["greedy_set_cover", "solve_bnt_greedy", "BETA_CAP"]
 
 BETA_CAP = 20
 
 
-@dataclass
-class CoverInstance:
-    """Rows are (r+1)-simplex ids, columns chain ids; entry 1 = membership."""
-
-    universe: List[int]
-    sets: List[int]
-    incidence: GF2Matrix  # one column per universe element, bits over sets
-
-
-def greedy_set_cover(inst: CoverInstance) -> List[int]:
-    """Max-coverage greedy, lowest row index on ties; returns chosen rows."""
-    nrows = len(inst.sets)
-    row_masks = inst.incidence.rows()
-    uncovered = (1 << len(inst.universe)) - 1
-    covered_by_any = 0
-    for m in row_masks:
-        covered_by_any |= m
-    if uncovered & ~covered_by_any:
+def greedy_set_cover(incidence: GF2Matrix) -> List[int]:
+    """Rows hitting every column: repeatedly the row that hits the most
+    unhit columns, the lowest row on ties.  Columns are the chains to hit,
+    rows the simplices, so the rows returned are simplex indices."""
+    if not all(incidence.cols):
         raise InputError("some chain contains no available simplex")
+    rows = incidence.rows()
+    unhit = (1 << incidence.ncols) - 1
     chosen = []
-    while uncovered:
-        gains = [(mask & uncovered).bit_count() for mask in row_masks]
-        best = max(range(nrows), key=lambda i: (gains[i], -i))
-        chosen.append(inst.sets[best])
-        uncovered &= ~row_masks[best]
+    while unhit:
+        best = max(range(len(rows)), key=lambda i: ((rows[i] & unhit).bit_count(), -i))
+        chosen.append(best)
+        unhit &= ~rows[best]
     return chosen
 
 
-def solve_bnt_greedy(K: Complex, zeta: Chain, beta_cap: int = BETA_CAP) -> Chain:
+def solve_bnt_greedy(K: Complex, zeta: Chain) -> Chain:
     """Smallest-ish set of (r+1)-simplices making zeta non-bounding."""
     r = zeta.dimension
     inst = CutInstance.for_bnt(K, zeta)  # InputError unless zeta bounds
+    if not zeta.support.bits:
+        raise InputError("the zero cycle bounds the empty chain; no removal makes it non-bounding")
     B = inst.boundary
-    n = K.n(r + 1)
-    # beta_(r+1) = dim ker ∂_(r+1) - rank ∂_(r+2), from the elimination for_bnt made
-    beta_up = B.ncols - rank(B) - rank(boundary_matrix(K, r + 2))
-    if beta_up > beta_cap:
-        raise ResourceError(f"beta_(r+1) = {beta_up} exceeds the cap {beta_cap}")
-    removed = 0  # bitmask over (r+1)-simplex indices
-    X: List[int] = []  # particular solutions, original index space
-    iterations = 0
-    while True:
-        keep_idx = [j for j in range(n) if not (removed >> j) & 1]
-        BS = GF2Matrix(K.n(r), [B.cols[j] for j in keep_idx])
-        x = solve(BS, zeta.support)
-        if x is None:
-            break
-        iterations += 1
-        if iterations > beta_up + 1:
-            raise InternalError("cover loop exceeded the termination bound")
-        X.append(_reindex(x.bits, keep_idx))
-        # all odd-size subset XORs of X, minus chains already hit
-        ys: List[int] = []
-        for mask in range(1, 1 << len(X)):
-            if mask.bit_count() & 1 == 0:
-                continue
-            acc = 0
-            for i in _bit_indices(mask):
-                acc ^= X[i]
-            if acc & removed:
-                continue  # already covered by an earlier pick
-            ys.append(acc)
-        ys = sorted(set(ys))
-        # incidence: rows = surviving simplices, columns = chains in Y; no
-        # y meets ``removed``, so each of its bits has a position
-        position = {j: pos for pos, j in enumerate(keep_idx)}
-        cols = [_reindex(y, position) for y in ys]
-        cover = CoverInstance(list(range(len(ys))), keep_idx, GF2Matrix(len(keep_idx), cols))
-        for j in greedy_set_cover(cover):
-            removed |= 1 << j
-    if not inst.cut(_bit_indices(removed))[0]:
+    ker = kernel_basis(B).cols  # from the elimination for_bnt made
+    if len(ker) > BETA_CAP:
+        raise ResourceError(f"dim ker ∂_{r + 1} = {len(ker)} exceeds the cap {BETA_CAP}")
+    coset = [solve(B, zeta.support).bits]
+    for k in ker:
+        coset += [x ^ k for x in coset]
+    picks = greedy_set_cover(GF2Matrix(B.ncols, coset))
+    if not inst.cut(picks)[0]:
         raise InternalError("greedy cover output failed the feasibility check")
-    return K.chain_from_bits(r + 1, removed)
+    return K.chain_from_bits(r + 1, sum(1 << j for j in picks))

@@ -223,6 +223,9 @@ def relative_rank(M: GF2Matrix, N: GF2Matrix) -> int:
 
 
 def column_space_pivots(M: GF2Matrix) -> List[int]:
-    """Indices of the columns outside the span of the columns before them."""
-    pivots: Pivots = {}
-    return [j for j, col in enumerate(M.cols) if _insert(pivots, col)[0]]
+    """Indices of the columns outside the span of the columns before them.
+
+    Column j is inserted with combo bit j after columns 0..j-1, so it is
+    kept as a pivot exactly when some stored combo has j as its highest bit.
+    """
+    return sorted(combo.bit_length() - 1 for _, combo in _eliminate(M)[0].values())

@@ -12,7 +12,6 @@ from typing import Dict, List, Optional, Set
 
 from .complexes import Chain, Complex, boundary_matrix, dual_graph, remove_closure
 from .errors import InputError, ResourceError
-from .feasibility import is_ths_feasible
 from .gf2 import GF2Matrix, column_space_pivots, in_colspace, kernel_basis, rank, relative_rank, solve
 from .homology import betti, homology_basis
 
@@ -124,9 +123,16 @@ def brute_ths_surface(K: Complex, zeta: Chain, wmax: Optional[int] = None) -> Op
 
     Circles are enumerated up to a length cap doubling from 3 to ``wmax``
     (default: the edge count), so the search stops at the first cap that
-    holds a feasible circle.  Tractable where full subset enumeration is
-    not; unit weights assumed.
+    holds a feasible circle.  Each circle is certified by
+    :func:`surviving_basis_ths`.  Tractable where full subset enumeration
+    is not; unit weights assumed.
     """
+    if (
+        zeta.dimension != 1
+        or boundary_matrix(K, 1).matvec(zeta.support).bits
+        or in_colspace(boundary_matrix(K, 2), zeta.support)
+    ):
+        raise InputError("zeta must be a non-bounding 1-cycle")
     adj, dedges = dual_graph(K)
     pair_to_edge = {(min(a, b), max(a, b)): ei for a, b, ei in dedges}
     limit = wmax if wmax is not None else K.n(1)
@@ -137,7 +143,7 @@ def brute_ths_surface(K: Complex, zeta: Chain, wmax: Optional[int] = None) -> Op
             for pair in cyc:
                 bits |= 1 << pair_to_edge[pair]
             S = K.chain_from_bits(1, bits)
-            if is_ths_feasible(K, zeta, S).verdict:
+            if surviving_basis_ths(K, zeta, S):
                 return S
         if cap >= limit:
             return None

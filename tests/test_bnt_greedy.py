@@ -1,30 +1,32 @@
 """Greedy boundary nontrivialization and its set-cover core."""
 
 import math
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from z2cut.bnt_greedy import CoverInstance, greedy_set_cover, solve_bnt_greedy
+from z2cut.bnt_greedy import greedy_set_cover, solve_bnt_greedy
 from z2cut.canonical import gen_canonical
+from z2cut.complexes import build_complex
 from z2cut.errors import InputError
 from z2cut.feasibility import is_bnt_feasible
 from z2cut.gf2 import GF2Matrix
+from z2cut.global_rand import random_bounding_cycle
 from z2cut.homology import betti
-from z2cut.oracle import brute_bnt, enumerate_boundary_chains
+from z2cut.oracle import brute_bnt, enumerate_boundary_chains, restricted_solve_bnt
 
 
 def test_greedy_cover_hand_instance():
     # columns = chains to cover, bits = rows (simplices) containing them:
     # row 0 covers chains {0,1}, row 1 covers {2}, row 2 covers {1}
-    inc = GF2Matrix(3, [0b001, 0b101, 0b010])
-    picked = greedy_set_cover(CoverInstance(list(range(3)), list(range(3)), inc))
-    assert picked == [0, 1]
+    assert greedy_set_cover(GF2Matrix(3, [0b001, 0b101, 0b010])) == [0, 1]
 
 
 def test_greedy_cover_uncoverable():
-    inc = GF2Matrix(1, [0b1, 0b0])
     with pytest.raises(InputError):
-        greedy_set_cover(CoverInstance(list(range(2)), [0], inc))
+        greedy_set_cover(GF2Matrix(1, [0b1, 0b0]))
 
 
 def test_tetra_optimal(tetra):
@@ -68,5 +70,46 @@ def test_beta_cap(torus):
     K, _ = torus
     zeta = K.chain(1, [])
     # an empty chain is rejected long before the cap matters
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="zero cycle bounds the empty chain"):
         solve_bnt_greedy(K, zeta)
+
+
+def test_solid_tetrahedron():
+    # beta_2 = 0, but ker ∂_2 holds the boundary of the 3-simplex, so two
+    # chains bound zeta: 012 and 013 + 023 + 123
+    K = build_complex([(0, 1, 2, 3)], (0, 3))
+    zeta = K.chain(1, [(0, 1), (0, 2), (1, 2)])
+    sol = solve_bnt_greedy(K, zeta)
+    assert K.members(sol) == [(0, 1, 2), (0, 1, 3)]
+    assert restricted_solve_bnt(K, zeta, sol)
+    assert len(brute_bnt(K, zeta, kmax=2)) == 2
+
+
+def test_cover_takes_a_simplex_every_chain_shares():
+    # a tetrahedron sphere 0135 with triangles 124 and 235 attached: both
+    # chains bounding zeta hold 124, so the optimum is one simplex; a cover
+    # that looks at one chain at a time picks 013, then 015
+    K = build_complex([(0, 1, 3), (0, 1, 5), (0, 3, 5), (1, 2, 4), (1, 3, 5), (2, 3, 5)], (0, 2))
+    zeta = K.chain(1, [(0, 1), (0, 5), (1, 2), (1, 4), (1, 5), (2, 4)])
+    assert len(enumerate_boundary_chains(K, zeta)) == 2
+    assert K.members(solve_bnt_greedy(K, zeta)) == [(1, 2, 4)]
+
+
+@st.composite
+def _solid_complexes(draw):
+    """Up to seven vertices, a few triangles and 1-3 tetrahedra, window [0, 3]."""
+    verts = range(draw(st.integers(5, 7)))
+    tris = draw(st.lists(st.sampled_from(list(combinations(verts, 3))), max_size=6))
+    tets = draw(st.lists(st.sampled_from(list(combinations(verts, 4))), min_size=1, max_size=3))
+    return build_complex(sorted(set(tris + tets)) + [(v,) for v in verts], (0, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_solid_complexes(), st.integers(1, 2), st.integers(0, 2**32))
+def test_greedy_bound_with_tetrahedra(K, r, seed):
+    zeta = random_bounding_cycle(K, r, seed)
+    sol = solve_bnt_greedy(K, zeta)
+    assert restricted_solve_bnt(K, zeta, sol)
+    opt = brute_bnt(K, zeta, kmax=len(sol))
+    coset = len(enumerate_boundary_chains(K, zeta))
+    assert len(sol) <= (math.log(coset) + 1) * len(opt)

@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from z2cut import gf2
 from z2cut.gf2 import (
     GF2Matrix,
     GF2Vector,
@@ -140,3 +141,14 @@ def test_elimination_contract_against_brute_force_spans(system):
     assert _bit_indices(b) == [i for i in range(nrows) if b >> i & 1]
     target = [2 * i + 1 for i in range(nrows)]
     assert _reindex(b, target) == sum(1 << target[i] for i in range(nrows) if b >> i & 1)
+
+
+def test_one_elimination_serves_pivots_rank_and_kernel(monkeypatch):
+    inserted = []
+    insert = gf2._insert
+    monkeypatch.setattr(gf2, "_insert", lambda piv, v, combo=0: inserted.append(v) or insert(piv, v, combo))
+    A = GF2Matrix(3, [0b011, 0b110, 0b101, 0b001])
+    assert column_space_pivots(A) == [0, 1, 3]
+    assert rank(A) == 3 and kernel_basis(A).cols == [0b111]
+    assert column_space_pivots(A) == [0, 1, 3]
+    assert len(inserted) == A.ncols

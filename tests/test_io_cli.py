@@ -200,6 +200,19 @@ def test_cli_oracle_and_exit_one(tmp_path, capsys, tetra):
     assert main(["oracle", "bnt", "--complex", scx, "--cycle", tri, "--kmax", "1"]) == 1
 
 
+def test_cli_bnt_on_a_solid_tetrahedron(tmp_path, capsys):
+    scx = _write(tmp_path, "solid.scx", "dim 3\nwindow 0 3\ntop 0 1 2 3\n")
+    tri = _write(tmp_path, "b.chn", "chain 1\n0 1\n0 2\n1 2\n")
+    assert main(["bnt-greedy", "--complex", scx, "--cycle", tri]) == 0
+    assert "solution size 2" in capsys.readouterr().out
+    assert main(["global-bnt", "--complex", scx, "--dim", "1", "--seed", "1"]) in (0, 1)
+    empty = _write(tmp_path, "e.chn", "chain 1\n")
+    assert main(["bnt-greedy", "--complex", scx, "--cycle", empty]) == 2
+    err = capsys.readouterr().err
+    assert "the zero cycle bounds the empty chain" in err
+    assert "Traceback" not in err
+
+
 def test_cli_unwritable_outputs_exit_two(torus_files, tmp_path, capsys):
     scx, chn, _ = torus_files
     bad = str(tmp_path / "no-such-dir" / "x")
@@ -227,12 +240,12 @@ def test_cli_trials_must_be_positive(torus_files, capsys):
 def _mutate(text, data):
     """Damage a file as a careless edit would: drop a token, put a
     non-integer or a negative id in its place, cut the window line short,
-    or repeat a line."""
+    repeat a line, or add a 3-simplex and raise the window top to 3."""
     lines = text.splitlines()
     for _ in range(data.draw(st.integers(0, 3))):
         i = data.draw(st.integers(0, len(lines) - 1))
         toks = lines[i].split()
-        op = data.draw(st.sampled_from(["drop", "replace", "window", "repeat"]))
+        op = data.draw(st.sampled_from(["drop", "replace", "window", "repeat", "solid"]))
         if op == "drop" and toks:
             del toks[data.draw(st.integers(0, len(toks) - 1))]
         elif op == "replace" and toks:
@@ -244,6 +257,12 @@ def _mutate(text, data):
         elif op == "repeat":
             toks = None
             lines.insert(i, lines[i])
+        elif op == "solid":
+            toks = None
+            quad = data.draw(st.lists(st.integers(0, 6), min_size=4, max_size=4, unique=True))
+            lines = ["dim 3" if line.startswith("dim") else "window 0 3" if line.startswith("window") else line
+                     for line in lines]
+            lines.append("top " + " ".join(map(str, sorted(quad))))
         if toks is not None:
             lines[i] = " ".join(toks)
     return "\n".join(lines) + "\n"
@@ -258,6 +277,10 @@ def test_cli_mutated_inputs_exit_cleanly(torus, tmp_path_factory, data):
     d = tmp_path_factory.mktemp("mutated")
     scx = _write(d, "m.scx", _mutate(emit_complex(W), data))
     chn = _write(d, "m.chn", _mutate(emit_chain(K, zeta), data))
+    bounding = _write(d, "b.chn", _mutate("chain 1\n0 1\n0 3\n1 3\n", data))  # ∂ of triangle 013
     # exit 1 is a clean answer too: no solution within k, or verified false
     assert main(["ths-fpt", "--complex", scx, "--cycle", chn, "--k", "6"]) in (0, 1, 2)
     assert main(["verify", "ths", "--complex", scx, "--cycle", chn, "--set", chn]) in (0, 1, 2)
+    # and exit 3 is a resource limit, such as the greedy's cap on dim ker ∂
+    assert main(["bnt-greedy", "--complex", scx, "--cycle", bounding]) in (0, 1, 2, 3)
+    assert main(["global-bnt", "--complex", scx, "--dim", "1", "--seed", "1"]) in (0, 1, 2, 3)

@@ -73,6 +73,19 @@ def test_brute_ths_surface_agrees(torus):
     assert len(a) == len(b) == 6
 
 
+def test_brute_ths_surface_needs_a_nonbounding_cycle(torus, tetra):
+    K, zeta = torus
+    with pytest.raises(InputError, match="non-bounding 1-cycle"):
+        brute_ths_surface(K, K.chain(1, [(0, 1), (0, 3), (1, 3)]))  # ∂ of triangle 013
+    with pytest.raises(InputError, match="non-bounding 1-cycle"):
+        brute_ths_surface(K, K.chain(1, [(0, 1)]))
+    with pytest.raises(InputError, match="non-bounding 1-cycle"):
+        brute_ths_surface(K, K.chain(2, [(0, 1, 3)]))
+    K, _ = tetra
+    with pytest.raises(InputError, match="non-bounding 1-cycle"):
+        brute_ths_surface(K, K.chain(1, [(0, 1), (0, 2), (1, 2)]))
+
+
 def test_brute_ths_size_lexicographic_tie_break():
     K, zeta = gen_canonical("component-graph")
     sol = brute_ths(K, zeta, kmax=4)
