@@ -5,14 +5,17 @@ thin length-carrying type; matrices store columns as bitsets over row
 indices, which is the natural layout for boundary matrices (one column per
 simplex, bits over its facets).
 
-Every elimination is one column reduction with pivots keyed by their lowest
-set bit (the reduction of PHAT and Ripser): a column is reduced by xoring in
-the pivot stored at its lowest set bit until no pivot is stored there or the
-column is 0, so each step is one dict lookup, not a scan of all pivots.  The
-outputs do not depend on the order of reduction.  Column j becomes a pivot
-exactly when it lies outside the span of the columns before it, and the
-solution of ``solve`` and each kernel vector are the unique combinations of
-those pivot columns, so any correct reduction returns the same bits.
+Every elimination is one column reduction with pivots keyed by their highest
+set bit, the "lowest one" of PHAT (the entry with the largest row index): a
+column is reduced by xoring in the pivot stored at its highest set bit until
+no pivot is stored there or the column is 0, so each step is one dict
+lookup, not a scan of all pivots.  On the lexicographically indexed
+boundary matrices of the hardness gadgets a column takes one to two lookups
+this way; keyed by the lowest bit it took up to forty.  The outputs do not
+depend on the order of reduction.  Column j becomes a pivot exactly when it
+lies outside the span of the columns before it, and the solution of
+``solve`` and each kernel vector are the unique combinations of those pivot
+columns, so any correct reduction returns the same bits.
 
 The cut tests of ``feasibility`` use the same reducer on matrix rows:
 inserting the rows a set selects into one pivot dict gives their rank.
@@ -39,8 +42,8 @@ __all__ = [
     "column_space_pivots",
 ]
 
-# lowest set bit -> (reduced column with that lowest bit, combo): ``combo`` is
-# the bitset of input columns whose xor is the reduced column
+# highest set bit -> (reduced column with that highest bit, combo): ``combo``
+# is the bitset of input columns whose xor is the reduced column
 Pivots = Dict[int, Tuple[int, int]]
 
 
@@ -133,13 +136,13 @@ def _reindex(bits: int, target: Union[Sequence[int], Mapping[int, int]]) -> int:
 
 
 def _reduce(pivots: Pivots, v: int, combo: int = 0) -> Tuple[int, int]:
-    """Xor pivots into v until its lowest set bit holds none or v is 0.
+    """Xor pivots into v until its highest set bit holds none or v is 0.
 
     Returns the residue and ``combo`` xored with the combos used.  The
     residue is 0 exactly when v lies in the span of the pivots.
     """
     while v:
-        p = pivots.get((v & -v).bit_length() - 1)
+        p = pivots.get(v.bit_length() - 1)
         if p is None:
             break
         v ^= p[0]
@@ -149,17 +152,17 @@ def _reduce(pivots: Pivots, v: int, combo: int = 0) -> Tuple[int, int]:
 
 def _insert(pivots: Pivots, v: int, combo: int = 0) -> Tuple[int, int]:
     """Reduce v as :func:`_reduce` does and keep a nonzero residue as the
-    pivot at its lowest bit.
+    pivot at its highest bit.
 
     The loop is repeated here rather than calling ``_reduce``: a cut test
     inserts a few rows and runs thousands of times per FPT solve, and the
     second call per row made it about 30% slower.
     """
     while v:
-        low = (v & -v).bit_length() - 1
-        p = pivots.get(low)
+        high = v.bit_length() - 1
+        p = pivots.get(high)
         if p is None:
-            pivots[low] = (v, combo)
+            pivots[high] = (v, combo)
             break
         v ^= p[0]
         combo ^= p[1]

@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 
 from conftest import random_complex
 from z2cut.canonical import CANONICAL_NAMES, gen_canonical
-from z2cut.complexes import boundary_matrix, build_complex, evaluate
+from z2cut.complexes import boundary_matrix, build_complex, evaluate, r_adjacency
 from z2cut.errors import InputError
 from z2cut.feasibility import (
+    CutInstance,
     is_bnt_feasible,
     is_global_bnt_solution,
     is_global_ths_solution,
     is_ths_feasible,
 )
-from z2cut.fpt_ths import FPTConfig, solve_ths_fpt
+from z2cut.fpt_ths import FPTConfig, enumerate_connected_sets, solve_ths_fpt
+from z2cut.gf2 import GF2Matrix, kernel_basis, rank, solve
 from z2cut.global_rand import random_bounding_cycle, random_nontrivial_cycle
 from z2cut.homology import betti, homology_basis
 from z2cut.io_cli import emit_chain, emit_complex, main
@@ -164,15 +166,17 @@ def test_reports_carry_metadata(torus):
 
 _TRIANGLES = list(combinations(range(6), 3))
 
+_random_complexes = st.builds(
+    lambda tris, window: build_complex(sorted(tris) + [(v,) for v in range(6)], window),
+    st.sets(st.sampled_from(_TRIANGLES), min_size=1, max_size=10),
+    st.sampled_from([(0, 2), (1, 2)]),
+)
+
 _complexes = st.one_of(
     st.sampled_from(CANONICAL_NAMES).map(
         lambda name: gen_canonical(name, {"g": 2} if name == "genus-g" else None)[0]
     ),
-    st.builds(
-        lambda tris, window: build_complex(sorted(tris) + [(v,) for v in range(6)], window),
-        st.sets(st.sampled_from(_TRIANGLES), min_size=1, max_size=10),
-        st.sampled_from([(0, 2), (1, 2)]),
-    ),
+    _random_complexes,
 )
 
 
@@ -194,3 +198,75 @@ def test_verifiers_match_reference_verifiers(K, data):
     if any(boundary_matrix(K, r + 1).cols):
         xi = random_bounding_cycle(K, r, seed)
         assert is_bnt_feasible(K, xi, T).verdict == restricted_solve_bnt(K, xi, T)
+
+
+def _connected_sets(adj, k):
+    """Every connected set of at most k nodes of ``adj``, sorted."""
+    return [sorted(c) for v in adj for c in enumerate_connected_sets(adj, v, k)]
+
+
+def _facet_adjacency(K, d):
+    """d-simplex indices, adjacent when they share a (d-1)-face."""
+    adj = {i: set() for i in range(K.n(d))}
+    by_facet = {}
+    for i, s in enumerate(K.simplices[d]):
+        for f in combinations(s, d):
+            by_facet.setdefault(f, []).append(i)
+    for group in by_facet.values():
+        for a, b in combinations(group, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
+
+
+def _projected_ranks(cols, target, S):
+    """rank P_S M and rank [P_S M | target|_S], eliminated column by column."""
+    def project(bits):
+        return sum(1 << pos for pos, i in enumerate(S) if bits >> i & 1)
+
+    M = [project(c) for c in cols]
+    return rank(GF2Matrix(len(S), M)), rank(GF2Matrix(len(S), M + [project(target)]))
+
+
+def _check_grow_and_cut(inst, zeta, dim, sets, cols, target, reference):
+    """Grow each set from {} one member at a time; the verdict must match
+    ``cut`` and the oracle reference, and the ranks a column elimination
+    of the projected matrix M (∂ or ker ∂) and target (zeta or x0)."""
+    K = inst.K
+    for members in sets:
+        pivots = {}
+        for i in members:
+            pivots, grown = inst.grow(pivots, i)
+        verdict, ranks = inst.cut(members)
+        S = K.chain(dim, [K.simplices[dim][i] for i in members])
+        assert grown == verdict == reference(K, zeta, S), members
+        assert ranks["size_S"] == len(members)
+        assert ranks["rank_augmented_S"] == len(pivots)
+        assert (ranks["rank_S"], ranks["rank_augmented_S"]) == _projected_ranks(cols, target, members), members
+
+
+def _check_every_small_cut(K, seed):
+    """THS and BNT on every connected set of up to 3 members, in each
+    dimension of K that has a class, respectively a boundary, to cut."""
+    for r in range(K.lo, K.hi + 1):
+        bd = boundary_matrix(K, r + 1) if r < K.hi else None
+        if betti(K, r):
+            zeta = random_nontrivial_cycle(K, r, seed)
+            _check_grow_and_cut(CutInstance.for_ths(K, zeta), zeta, r, _connected_sets(r_adjacency(K, r), 3),
+                                bd.cols if bd else [], zeta.support.bits, surviving_basis_ths)
+        if bd is not None and any(bd.cols):
+            xi = random_bounding_cycle(K, r, seed)
+            _check_grow_and_cut(CutInstance.for_bnt(K, xi), xi, r + 1, _connected_sets(_facet_adjacency(K, r + 1), 3),
+                                kernel_basis(bd).cols, solve(bd, xi.support).bits, restricted_solve_bnt)
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+def test_grow_and_cut_on_the_canonical_corpus(name):
+    K, _ = gen_canonical(name, {"g": 2} if name == "genus-g" else None)
+    _check_every_small_cut(K, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_complexes, st.integers(0, 2**30))
+def test_grow_and_cut_on_random_complexes(K, seed):
+    _check_every_small_cut(K, seed)

@@ -1,6 +1,7 @@
 """File formats, round trips, and the command-line surface."""
 
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -237,6 +238,31 @@ def test_cli_trials_must_be_positive(torus_files, capsys):
     assert capsys.readouterr().err.count("trials must be at least 1") == 2
 
 
+def test_cli_binary_input_exits_two(torus_files, tmp_path, capsys):
+    """A file that is not UTF-8 text is an input error, in every place a
+    subcommand reads one: the complex, the cycle or set, the graph."""
+    scx, chn, _ = torus_files
+    cg = _write(tmp_path, "g.cg", "vertex 1 1\nvertex 2 2\nedge 1 2\n")
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(random.Random(0).randbytes(200))
+    commands = [
+        ["ths-surface", "--complex", scx, "--cycle", chn],
+        ["ths-fpt", "--complex", scx, "--cycle", chn, "--k", "2"],
+        ["bnt-greedy", "--complex", scx, "--cycle", chn],
+        ["global-ths", "--complex", scx, "--dim", "1", "--k", "2", "--seed", "1", "--trials", "1"],
+        ["global-bnt", "--complex", scx, "--dim", "1", "--seed", "1", "--trials", "1"],
+        *(["verify", kind, "--complex", scx, "--cycle", chn, "--set", chn] for kind in ("ths", "bnt")),
+        *(["verify", kind, "--complex", scx, "--dim", "1", "--set", chn] for kind in ("global-ths", "global-bnt")),
+        *(["oracle", kind, "--complex", scx, "--cycle", chn] for kind in ("ths", "bnt", "homologous", "coset")),
+        *(["gen", name, "--graph", cg, "--out", scx + ".out"] for name in ("gadget-ths", "gadget-bnt")),
+    ]
+    for cmd in commands:
+        for i in (i for i, arg in enumerate(cmd) if arg in (scx, chn, cg)):
+            assert main(cmd[:i] + [str(junk)] + cmd[i + 1:]) == 2, (cmd, i)
+            err = capsys.readouterr().err
+            assert "is not UTF-8 text" in err and "Traceback" not in err, (cmd, i)
+
+
 def _mutate(text, data):
     """Damage a file as a careless edit would: drop a token, put a
     non-integer or a negative id in its place, cut the window line short,
@@ -268,19 +294,60 @@ def _mutate(text, data):
     return "\n".join(lines) + "\n"
 
 
+def _shift_ids(text, shift):
+    """``text`` with every vertex id raised by ``shift``."""
+    lines = []
+    for line in text.splitlines():
+        toks = line.split()
+        if toks[0] in ("top", "weight"):
+            ids = slice(1, None) if toks[0] == "top" else slice(1, 3)
+            toks[ids] = [str(int(t) + shift) for t in toks[ids]]
+        elif toks[0] not in ("dim", "window", "chain"):
+            toks = [str(int(t) + shift) for t in toks]
+        lines.append(" ".join(toks))
+    return "\n".join(lines) + "\n"
+
+
+def _damaged(text, data):
+    """The bytes of a damaged file: mostly an edit of ``text``, sometimes
+    a file that was never text of any format: empty, or binary."""
+    kind = data.draw(st.sampled_from(["edit"] * 10 + ["empty", "binary"]))
+    if kind == "empty":
+        return b""
+    if kind == "binary":
+        return data.draw(st.binary(min_size=1, max_size=200))
+    return _mutate(text, data).encode()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_cli_mutated_inputs_exit_cleanly(torus, tmp_path_factory, data):
+    """Every subcommand that reads a complex and a chain, on damaged files,
+    on files whose ids are huge, and on windows that start above 0."""
     K, zeta = torus
     # a few weight lines, so that their parse is damaged too
     W = build_complex(list(K.simplices[2]), (0, 2), {e: 2 + i for i, e in enumerate(K.simplices[1][:3])})
+    shift = data.draw(st.sampled_from([0, 0, 2**63, 10**30]), label="id shift")
+    window = data.draw(st.sampled_from(["window 0 2"] * 4 + ["window 1 2", "window 2 2"]), label="window")
     d = tmp_path_factory.mktemp("mutated")
-    scx = _write(d, "m.scx", _mutate(emit_complex(W), data))
-    chn = _write(d, "m.chn", _mutate(emit_chain(K, zeta), data))
-    bounding = _write(d, "b.chn", _mutate("chain 1\n0 1\n0 3\n1 3\n", data))  # ∂ of triangle 013
+
+    def damaged(name, text):
+        p = d / name
+        p.write_bytes(_damaged(_shift_ids(text, shift), data))
+        return str(p)
+
+    scx = damaged("m.scx", emit_complex(W).replace("window 0 2", window))
+    chn = damaged("m.chn", emit_chain(K, zeta))
+    bounding = damaged("b.chn", "chain 1\n0 1\n0 3\n1 3\n")  # ∂ of triangle 013
+    tri = damaged("t.chn", "chain 2\n0 1 3\n")
     # exit 1 is a clean answer too: no solution within k, or verified false
     assert main(["ths-fpt", "--complex", scx, "--cycle", chn, "--k", "6"]) in (0, 1, 2)
+    assert main(["ths-surface", "--complex", scx, "--cycle", chn]) in (0, 1, 2)
+    assert main(["global-ths", "--complex", scx, "--dim", "1", "--k", "3", "--seed", "1", "--trials", "2"]) in (0, 1, 2)
     assert main(["verify", "ths", "--complex", scx, "--cycle", chn, "--set", chn]) in (0, 1, 2)
+    assert main(["verify", "bnt", "--complex", scx, "--cycle", bounding, "--set", tri]) in (0, 1, 2)
+    assert main(["verify", "global-ths", "--complex", scx, "--dim", "1", "--set", chn]) in (0, 1, 2)
+    assert main(["verify", "global-bnt", "--complex", scx, "--dim", "1", "--set", tri]) in (0, 1, 2)
     # and exit 3 is a resource limit, such as the greedy's cap on dim ker ∂
     assert main(["bnt-greedy", "--complex", scx, "--cycle", bounding]) in (0, 1, 2, 3)
     assert main(["global-bnt", "--complex", scx, "--dim", "1", "--seed", "1"]) in (0, 1, 2, 3)
