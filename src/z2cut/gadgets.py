@@ -42,11 +42,13 @@ class ColoredGraph:
     edges: FrozenSet[FrozenSet[int]]
 
     def __post_init__(self) -> None:
-        k = self.k
-        if sorted(set(self.colors.values())) != list(range(1, k + 1)):
+        colors = set(self.colors.values())
+        if len(colors) != self.k or min(colors, default=1) < 1:
             raise InputError("colors must be contiguous 1..k")
         for e in self.edges:
-            u, v = sorted(e)
+            u, v = min(e), max(e)
+            if u == v:
+                raise InputError(f"edge {u},{v} is a loop")
             if u not in self.colors or v not in self.colors:
                 raise InputError(f"edge {u},{v} uses an unknown vertex")
             if self.colors[u] == self.colors[v]:

@@ -67,6 +67,8 @@ def enumerate_boundary_chains(K: Complex, zeta: Chain, budget: OracleBudget = Or
 def _min_hitting_set(K: Complex, dim: int, targets: List[int], kmax: int, budget: OracleBudget) -> Optional[Chain]:
     """Smallest (size, then lexicographic) index subset intersecting every target."""
     n = K.n(dim)
+    if kmax < 0:
+        raise InputError(f"kmax must be at least 0, got {kmax}")
     if kmax > budget.max_subset_size:
         raise ResourceError(f"subset size {kmax} exceeds budget")
     for size in range(kmax + 1):

@@ -1,4 +1,4 @@
-"""Greedy boundary nontrivialization and its set-cover core."""
+"""Greedy boundary nontrivialization: Chvátal's greedy on the coset."""
 
 import math
 from itertools import combinations
@@ -7,26 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2cut.bnt_greedy import greedy_set_cover, solve_bnt_greedy
-from z2cut.canonical import gen_canonical
+from z2cut.bnt_greedy import solve_bnt_greedy
 from z2cut.complexes import build_complex
 from z2cut.errors import InputError
 from z2cut.feasibility import is_bnt_feasible
-from z2cut.gf2 import GF2Matrix
 from z2cut.global_rand import random_bounding_cycle
 from z2cut.homology import betti
 from z2cut.oracle import brute_bnt, enumerate_boundary_chains, restricted_solve_bnt
-
-
-def test_greedy_cover_hand_instance():
-    # columns = chains to cover, bits = rows (simplices) containing them:
-    # row 0 covers chains {0,1}, row 1 covers {2}, row 2 covers {1}
-    assert greedy_set_cover(GF2Matrix(3, [0b001, 0b101, 0b010])) == [0, 1]
-
-
-def test_greedy_cover_uncoverable():
-    with pytest.raises(InputError):
-        greedy_set_cover(GF2Matrix(1, [0b1, 0b0]))
 
 
 def test_tetra_optimal(tetra):
@@ -66,10 +53,9 @@ def test_rejects_nonbounding_input(torus):
         solve_bnt_greedy(K, homology_basis(K, 1).cycles[0])
 
 
-def test_beta_cap(torus):
+def test_zero_cycle_is_refused(torus):
     K, _ = torus
     zeta = K.chain(1, [])
-    # an empty chain is rejected long before the cap matters
     with pytest.raises(InputError, match="zero cycle bounds the empty chain"):
         solve_bnt_greedy(K, zeta)
 
@@ -113,3 +99,45 @@ def test_greedy_bound_with_tetrahedra(K, r, seed):
     opt = brute_bnt(K, zeta, kmax=len(sol))
     coset = len(enumerate_boundary_chains(K, zeta))
     assert len(sol) <= (math.log(coset) + 1) * len(opt)
+
+
+def _listing_greedy(K, zeta):
+    """Chvátal's greedy over the listed coset: the simplex in the most
+    chains not yet hit, the lowest index on ties, until every one is hit."""
+    unhit = [c.support.bits for c in enumerate_boundary_chains(K, zeta)]
+    picks = 0
+    while unhit:
+        i = max(range(K.n(zeta.dimension + 1)), key=lambda i: (sum(c >> i & 1 for c in unhit), -i))
+        picks |= 1 << i
+        unhit = [c for c in unhit if not c >> i & 1]
+    return picks
+
+
+@st.composite
+def _two_complexes(draw):
+    """Up to seven vertices and up to fourteen triangles, window [0, 2]."""
+    verts = range(draw(st.integers(4, 7)))
+    tris = draw(st.lists(st.sampled_from(list(combinations(verts, 3))), min_size=1, max_size=14))
+    return build_complex(sorted(set(tris)) + [(v,) for v in verts], (0, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.tuples(_two_complexes(), st.just(1)), st.tuples(_solid_complexes(), st.integers(1, 2))),
+    st.integers(0, 2**32),
+)
+def test_picks_are_those_of_the_listing_greedy(K_r, seed):
+    K, r = K_r
+    zeta = random_bounding_cycle(K, r, seed)
+    assert solve_bnt_greedy(K, zeta).support.bits == _listing_greedy(K, zeta)
+
+
+def test_full_2_skeleton_on_8_vertices():
+    # dim ker ∂_2 = β_2 = C(7, 3) = 35, so the coset has 2^35 chains
+    K = build_complex(list(combinations(range(8), 3)), (0, 2))
+    assert betti(K, 2) == 35
+    for seed in range(3):
+        zeta = random_bounding_cycle(K, 1, seed)
+        sol = solve_bnt_greedy(K, zeta)
+        assert restricted_solve_bnt(K, zeta, sol)
+        assert is_bnt_feasible(K, zeta, sol).verdict

@@ -32,7 +32,11 @@ def test_colored_graph_validation():
     with pytest.raises(InputError):
         ColoredGraph({1: 1, 2: 3}, frozenset())  # gap in colors
     with pytest.raises(InputError):
+        ColoredGraph({1: 1, 2: 2**64}, frozenset())  # a gap too wide to list
+    with pytest.raises(InputError):
         ColoredGraph({1: 1, 2: 1}, frozenset({frozenset((1, 2))}))  # monochromatic
+    with pytest.raises(InputError, match="edge 1,1 is a loop"):
+        ColoredGraph({1: 1, 2: 2}, frozenset({frozenset((1, 1))}))
 
 
 def test_clique_search():

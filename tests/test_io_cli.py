@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2cut.canonical import CANONICAL_NAMES, gen_canonical
-from z2cut.complexes import build_complex
+from z2cut.complexes import boundary_matrix, build_complex
 from z2cut.errors import InputError
+from z2cut.gf2 import kernel_basis
 from z2cut.io_cli import (
     emit_chain,
     emit_colored_graph,
@@ -20,6 +21,7 @@ from z2cut.io_cli import (
     parse_colored_graph,
     parse_complex,
 )
+from z2cut.oracle import restricted_solve_bnt
 
 
 def test_parse_documented_examples():
@@ -199,6 +201,8 @@ def test_cli_oracle_and_exit_one(tmp_path, capsys, tetra):
     assert main(["oracle", "coset", "--complex", scx, "--cycle", tri]) == 0
     assert "count 2" in capsys.readouterr().out
     assert main(["oracle", "bnt", "--complex", scx, "--cycle", tri, "--kmax", "1"]) == 1
+    assert main(["oracle", "bnt", "--complex", scx, "--cycle", tri, "--kmax", "-1"]) == 2
+    assert "kmax must be at least 0" in capsys.readouterr().err
 
 
 def test_cli_bnt_on_a_solid_tetrahedron(tmp_path, capsys):
@@ -212,6 +216,27 @@ def test_cli_bnt_on_a_solid_tetrahedron(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "the zero cycle bounds the empty chain" in err
     assert "Traceback" not in err
+
+
+def test_cli_bnt_greedy_on_the_k3_gadget(tmp_path):
+    """dim ker ∂_2 = 1,592: the greedy covers 2^1592 chains without listing them."""
+    cg = _write(tmp_path, "k3.cg", "vertex 1 1\nvertex 2 2\nvertex 3 3\nedge 1 2\nedge 1 3\nedge 2 3\n")
+    scx, chn, rep = (str(tmp_path / name) for name in ("k3.scx", "k3.chn", "k3.json"))
+    assert main(["gen", "gadget-bnt", "--graph", cg, "--out", scx, "--chain-out", chn]) == 0
+    assert main(["bnt-greedy", "--complex", scx, "--cycle", chn, "--json", rep]) == 0
+    K = parse_complex(open(scx).read())
+    zeta = parse_chain(open(chn).read(), K)
+    assert kernel_basis(boundary_matrix(K, 2)).ncols == 1592
+    sol = K.chain(2, [tuple(s) for s in json.load(open(rep))["output"]["solution"]])
+    assert len(sol) > 0 and restricted_solve_bnt(K, zeta, sol)
+
+
+def test_cli_gen_refuses_a_loop_edge(tmp_path, capsys):
+    cg = _write(tmp_path, "loop.cg", "vertex 0 1\nvertex 1 2\nedge 0 0\n")
+    for name in ("gadget-ths", "gadget-bnt"):
+        assert main(["gen", name, "--graph", cg, "--out", str(tmp_path / "x.scx")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("edge 0,0 is a loop") == 2 and "Traceback" not in err
 
 
 def test_cli_unwritable_outputs_exit_two(torus_files, tmp_path, capsys):
@@ -348,6 +373,51 @@ def test_cli_mutated_inputs_exit_cleanly(torus, tmp_path_factory, data):
     assert main(["verify", "bnt", "--complex", scx, "--cycle", bounding, "--set", tri]) in (0, 1, 2)
     assert main(["verify", "global-ths", "--complex", scx, "--dim", "1", "--set", chn]) in (0, 1, 2)
     assert main(["verify", "global-bnt", "--complex", scx, "--dim", "1", "--set", tri]) in (0, 1, 2)
-    # and exit 3 is a resource limit, such as the greedy's cap on dim ker ∂
-    assert main(["bnt-greedy", "--complex", scx, "--cycle", bounding]) in (0, 1, 2, 3)
-    assert main(["global-bnt", "--complex", scx, "--dim", "1", "--seed", "1"]) in (0, 1, 2, 3)
+    # the greedy always finds a cover of a bounding nonzero cycle
+    assert main(["bnt-greedy", "--complex", scx, "--cycle", bounding]) in (0, 2)
+    assert main(["global-bnt", "--complex", scx, "--dim", "1", "--seed", "1"]) in (0, 1, 2)
+    # and exit 3 is the oracle's enumeration budget
+    for kind, cycle in (("ths", chn), ("bnt", bounding), ("homologous", chn), ("coset", bounding)):
+        assert main(["oracle", kind, "--complex", scx, "--cycle", cycle, "--kmax", "3"]) in (0, 1, 2, 3)
+
+
+def _damaged_graph(data):
+    """A colored triangle with a pendant vertex, its ids raised by 0, 2^63
+    or 10^30, then damaged: a dropped token, a non-integer, a loop, an edge
+    to an unknown vertex, a colour past k, or a line deleted."""
+    shift = data.draw(st.sampled_from([0, 0, 2**63, 10**30]), label="id shift")
+    v = [str(i + shift) for i in range(4)]
+    lines = [f"vertex {v[0]} 1", f"vertex {v[1]} 2", f"vertex {v[2]} 3", f"vertex {v[3]} 1",
+             f"edge {v[0]} {v[1]}", f"edge {v[0]} {v[2]}", f"edge {v[1]} {v[2]}", f"edge {v[3]} {v[1]}"]
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        toks = lines[i].split()
+        op = data.draw(st.sampled_from(["drop", "replace", "loop", "unknown", "gap", "delete"]))
+        if op == "drop" and toks:
+            del toks[data.draw(st.integers(0, len(toks) - 1))]
+        elif op == "replace" and toks:
+            bad = data.draw(st.sampled_from(["x", "1.5", "-1", "1e3", "0x3", "--", str(2**64)]))
+            toks[data.draw(st.integers(0, len(toks) - 1))] = bad
+        elif op == "loop":
+            u = data.draw(st.sampled_from(v))
+            toks = ["edge", u, u]
+        elif op == "unknown":
+            toks = ["edge", v[0], str(9 + shift)]
+        elif op == "gap":
+            toks = ["vertex", str(7 + shift), "5"]
+        elif op == "delete":
+            toks = []
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cli_gen_on_damaged_graphs_exits_cleanly(tmp_path_factory, data):
+    d = tmp_path_factory.mktemp("graph")
+    cg = _write(d, "g.cg", _damaged_graph(data))
+    m = data.draw(st.sampled_from(["-1", "0", "1", "3"]), label="m")
+    for name in ("gadget-ths", "gadget-bnt"):
+        out = [str(d / f"{name}.{ext}") for ext in ("scx", "chn", "json")]
+        cmd = ["gen", name, "--graph", cg, "--m", m, "--out", out[0], "--chain-out", out[1], "--legend-out", out[2]]
+        assert main(cmd) in (0, 2)

@@ -66,6 +66,16 @@ def test_brute_bnt_spheres(tetra, octa):
     assert brute_bnt(K, zeta, kmax=1) is None
 
 
+def test_negative_kmax_is_an_input_error(tetra):
+    # None would read as "no hitting set of size at most kmax"
+    K, zeta = gen_canonical("planar-holes")
+    with pytest.raises(InputError, match="kmax must be at least 0"):
+        brute_ths(K, zeta, kmax=-1)
+    K, _ = tetra
+    with pytest.raises(InputError, match="kmax must be at least 0"):
+        brute_bnt(K, K.chain(1, [(0, 1), (0, 2), (1, 2)]), kmax=-1)
+
+
 def test_brute_ths_surface_agrees(torus):
     K, zeta = torus
     a = brute_ths_surface(K, zeta)
