@@ -192,36 +192,29 @@ def gen_ths_gadget(G: ColoredGraph, m: int) -> GadgetInstance:
 
 def _s_subdivide_sets(
     ordered: Sequence[int], alloc_start: int
-) -> Tuple[Set[FrozenSet[int]], List[int], List[int]]:
+) -> Tuple[Set[FrozenSet[int]], List[int]]:
     """Iterated stellar subdivision of the simplex on ``ordered`` vertices.
 
     ``ordered`` lists vertices in increasing rank; each of the 2(d+1) new
     vertices (ids alloc_start, alloc_start+1, ...) outranks everything
-    before it.  Returns (d-simplices, distinguished simplex as a
-    rank-ordered vertex list, list of created vertex ids).
+    before it, and each step cones off the simplex on the d+1 highest
+    ranks.  Returns (d-simplices, distinguished simplex as a rank-ordered
+    vertex list).
     """
     d = len(ordered) - 1
-    rank = {v: i for i, v in enumerate(ordered)}
-    simplices: Set[FrozenSet[int]] = {frozenset(ordered)}
-    created: List[int] = []
-
-    def top_simplex() -> FrozenSet[int]:
-        tops = sorted(rank, key=lambda v: -rank[v])[: d + 1]
-        omega = frozenset(tops)
+    order = list(ordered)
+    simplices: Set[FrozenSet[int]] = {frozenset(order)}
+    for z in range(alloc_start, alloc_start + 2 * (d + 1)):
+        # built highest rank first: that fixes the iteration order of omega,
+        # hence of the returned set, hence the ids of penalty vertices
+        omega = frozenset(reversed(order[-(d + 1):]))
         if omega not in simplices:
             raise InternalError("highest-ranked vertices do not span a simplex")
-        return omega
-
-    for step in range(2 * (d + 1)):
-        omega = top_simplex()
-        z = alloc_start + step
-        created.append(z)
-        rank[z] = len(rank)
         simplices.remove(omega)
         for w in omega:
             simplices.add((omega - {w}) | {z})
-    distinguished = sorted(top_simplex(), key=lambda v: rank[v])
-    return simplices, distinguished, created
+        order.append(z)
+    return simplices, order[-(d + 1):]
 
 
 def s_subdivide(d: int, order: Optional[Sequence[int]] = None) -> Tuple[Complex, Simplex]:
@@ -232,31 +225,12 @@ def s_subdivide(d: int, order: Optional[Sequence[int]] = None) -> Tuple[Complex,
     ordered = list(order) if order is not None else list(range(d + 1))
     if len(set(ordered)) != d + 1:
         raise InputError("order must list d+1 distinct vertices")
-    simplices, dist, _ = _s_subdivide_sets(ordered, max(ordered) + 1)
+    simplices, dist = _s_subdivide_sets(ordered, max(ordered) + 1)
     K = build_complex([tuple(sorted(s)) for s in sorted(simplices, key=sorted)], (0, d))
     return K, tuple(sorted(dist))
 
 
 # ---------------------------------------------------------------- BNT gadget
-
-
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: Dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = parent.setdefault(x, x)
-        while parent[root] != root:
-            root = parent[root]
-        while x != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 def _penalize(omega: Simplex, m: int, next_free: int) -> Tuple[List[Simplex], int]:
@@ -287,59 +261,57 @@ def gen_bnt_gadget(G: ColoredGraph, m: int) -> GadgetInstance:
     Vset = frozenset(range(r + 1))
 
     legend: Dict[str, object] = {
-        "alpha": {},  # (i, v) -> identified simplex
-        "beta": {},  # (i, j, v, u) with i < j -> identified simplex
+        "alpha": {},  # (i, v) -> glued simplex
+        "beta": {},  # (i, j, v, u) with i < j -> glued simplex
         "sigma_chain": {},  # i -> r-simplices of the subdivided sigma boundary
         "tau_chain": {},  # (i, j, v) -> r-simplices of the tau sphere
         "undesirable": [],
         "m_recommended": (r + 1) ** 3,
         "m": m,
     }
-    uf = _UnionFind()
-    all_r: List[Tuple[int, ...]] = []  # r-simplices before identification
-    # distinguished simplices as rank-ordered vertex lists, keyed by role
-    alpha_sides: Dict[Tuple[int, int], List[List[int]]] = {}
-    beta_sides: Dict[Tuple[int, int, int, int], List[List[int]]] = {}
+    all_r: List[Simplex] = []
+    copies = 0  # subdivisions made; each role beyond its first one is glued
 
     def run_gadget(
         pre_adm: Dict[Tuple, List[int]],
-        w_facets: List[Tuple[int, ...]],
+        w_facets: List[Simplex],
         chain_slot: Tuple[str, object],
     ) -> None:
-        """Subdivide each pre-admissible facet (given in rank order);
+        """Subdivide each pre-admissible facet (given in rank order), glue its
+        distinguished simplex onto the first copy of the same role, and
         record penalty structures for everything non-distinguished."""
-        nonlocal next_free
-        members: List[Tuple[int, ...]] = []
-        undes: List[Tuple[int, ...]] = []
-        for key, facet_order in pre_adm.items():
-            simplices, dist, created = _s_subdivide_sets(facet_order, next_free)
-            next_free += len(created)
+        nonlocal next_free, copies
+        members: List[Simplex] = []
+        undes: List[Simplex] = []
+        for (kind, *role), facet_order in pre_adm.items():
+            simplices, dist = _s_subdivide_sets(facet_order, next_free)
+            next_free += 2 * len(facet_order)
+            copies += 1
+            # both lists hold fresh ids in increasing order, so rank order
+            # is id order and the first copy keeps its own vertices
+            anchor = legend[kind].setdefault(tuple(role), tuple(dist))
+            glue = dict(zip(dist, anchor))
             for s in simplices:
-                t = tuple(sorted(s))
+                t = tuple(sorted(glue.get(x, x) for x in s))
+                if len(set(t)) != len(t):
+                    raise InternalError("identification collapsed a simplex")
                 members.append(t)
-                if set(t) != set(dist):
+                if t != anchor:
                     undes.append(t)
-            if key[0] == "alpha":
-                alpha_sides.setdefault(key[1:], []).append(dist)
-            else:
-                i, j, v, u = key[1:]
-                beta_sides.setdefault((i, j, v, u) if i < j else (j, i, u, v), []).append(dist)
         # non-pre-admissible facets stay unsubdivided and are undesirable
-        for w_simplex in w_facets:
-            members.append(w_simplex)
-            undes.append(w_simplex)
-        legend[chain_slot[0]][chain_slot[1]] = list(members)
+        members.extend(w_facets)
+        undes.extend(w_facets)
+        legend[chain_slot[0]][chain_slot[1]] = sorted(members)
         all_r.extend(members)
         legend["undesirable"].extend(undes)
         for omega in undes:
-            pen, next_free2 = _penalize(omega, m, next_free)
-            next_free = next_free2
+            pen, next_free = _penalize(omega, m, next_free)
             all_r.extend(pen)
 
     # type-1 gadgets: subdivided boundaries of sigma_i minus the face V
     for i in range(1, k + 1):
         sigma = sorted(Vset | {cid[i]})
-        w_facets: List[Tuple[int, ...]] = []
+        w_facets: List[Simplex] = []
         pre: Dict[Tuple, List[int]] = {}
         for v in verts:
             facet = sorted(set(sigma) - {vid[v]})
@@ -371,7 +343,7 @@ def gen_bnt_gadget(G: ColoredGraph, m: int) -> GadgetInstance:
                 b_keys = {}
                 for u in G.color_class(j):
                     if frozenset((u, v)) in G.edges:
-                        b_keys[copy[vid[u]]] = ("beta", i, j, v, u)
+                        b_keys[copy[vid[u]]] = ("beta", i, j, v, u) if i < j else ("beta", j, i, u, v)
                 for w in order:
                     facet = [x for x in order if x != w]
                     if w == drop_j:
@@ -382,36 +354,13 @@ def gen_bnt_gadget(G: ColoredGraph, m: int) -> GadgetInstance:
                         w_facets.append(tuple(sorted(facet)))
                 run_gadget(pre, w_facets, ("tau_chain", (i, j, v)))
 
-    # attachments: identify distinguished simplices, matching rank order
-    for key, sides in list(alpha_sides.items()) + list(beta_sides.items()):
-        anchor = sides[0]
-        for other in sides[1:]:
-            for a, b in zip(anchor, other):
-                uf.union(a, b)
-
-    def canon(s: Tuple[int, ...]) -> Simplex:
-        out = tuple(sorted(uf.find(x) for x in s))
-        if len(set(out)) != len(s):
-            raise InternalError("identification collapsed a simplex")
-        return out
-
-    final_r = [canon(s) for s in all_r]
-    if len(set(final_r)) != len(final_r) - sum(len(v) - 1 for v in alpha_sides.values()) - sum(
-        len(v) - 1 for v in beta_sides.values()
-    ):
+    roles = len(legend["alpha"]) + len(legend["beta"])
+    if len(set(all_r)) != len(all_r) - (copies - roles):
         raise InternalError("identification merged unintended simplices")
-    legend["undesirable"] = sorted({canon(s) for s in legend["undesirable"]})
-    for i in list(legend["sigma_chain"]):
-        legend["sigma_chain"][i] = sorted({canon(s) for s in legend["sigma_chain"][i]})
-    for t in list(legend["tau_chain"]):
-        legend["tau_chain"][t] = sorted({canon(s) for s in legend["tau_chain"][t]})
-    for key, sides in alpha_sides.items():
-        legend["alpha"][key] = canon(tuple(sides[0]))
-    for key, sides in beta_sides.items():
-        legend["beta"][key] = canon(tuple(sides[0]))
+    legend["undesirable"].sort()
 
     window = (max(r - 2, 0), r)
-    K = build_complex(sorted(set(final_r)), window)
+    K = build_complex(sorted(set(all_r)), window)
     xi = K.chain(r - 1, [tuple(sorted(Vset - {x})) for x in Vset])
     parameter = comb(k + 1, 2)
     if m < parameter + 1:

@@ -6,7 +6,7 @@ Three line-oriented text formats: ``.scx`` complexes (``dim``, ``window``,
 (``vertex <id> <color>``, ``edge <u> <v>``).  ``main`` wires every solver,
 verifier and oracle to a subcommand with exit codes 0 (solved /
 verified-true), 1 (no solution / verified-false), 2 (input error),
-3 (resource error).
+3 (resource error), 141 (stdout closed before the output was written).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from itertools import combinations
@@ -31,7 +32,7 @@ from .feasibility import (
 )
 from .fpt_ths import FPTConfig, solve_ths_fpt
 from .gadgets import ColoredGraph, gen_bnt_gadget, gen_ths_gadget
-from .global_rand import RandomizedRun, solve_global_bnt, solve_global_ths
+from .global_rand import DEFAULT_TRIALS, RandomizedRun, solve_global_bnt, solve_global_ths
 from .oracle import (
     OracleBudget,
     brute_bnt,
@@ -145,11 +146,7 @@ def emit_complex(K: Complex) -> str:
     """Byte-stable inverse of parse_complex (maximal simplices as tops)."""
     lines = [f"dim {K.hi}", f"window {K.lo} {K.hi}"]
     for p in range(K.hi, K.lo - 1, -1):
-        covered = {
-            tuple(sorted(set(t) - {w}))
-            for t in K.simplices.get(p + 1, ())
-            for w in t
-        }
+        covered = {f for t in K.simplices.get(p + 1, ()) for f in combinations(t, p + 1)}
         for s in K.simplices[p]:
             if s not in covered:
                 lines.append("top " + " ".join(map(str, s)))
@@ -435,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", metavar="PATH", help="write a replayable run report")
         if rand:
             p.add_argument("--seed", type=int, required=True, help="trial seed")
-            p.add_argument("--trials", type=int, default=16)
+            p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
 
     p = sub.add_parser("ths-surface", help="exact hitting set on a closed surface")
     common(p)
@@ -501,7 +498,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     report = _Report(args, argv)
-    code = _run(args, report)
+    try:
+        code = _run(args, report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout is gone (``| head``): send the exit-time flush
+        # to devnull and exit as a process killed by SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 141
     try:
         report.finish(getattr(args, "json", None), code)
     except InputError as exc:

@@ -1,5 +1,6 @@
 """Colored-graph hardness gadgets and the iterated subdivision."""
 
+import hashlib
 import warnings
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from z2cut.complexes import boundary_matrix
 from z2cut.errors import InputError
 from z2cut.feasibility import is_bnt_feasible, is_ths_feasible
 from z2cut.fpt_ths import FPTConfig, solve_ths_fpt
+from z2cut.io_cli import emit_colored_graph, main
 from z2cut.gadgets import (
     ColoredGraph,
     bnt_clique_solution,
@@ -157,11 +159,32 @@ def test_gadget_rejects_bad_m():
         gen_bnt_gadget(EDGE, 4)  # too few vertices for the low-dim gadget
 
 
-def test_union_find_long_chain_is_iterative():
-    from z2cut.gadgets import _UnionFind
+PINNED_GRAPHS = {
+    "k3": TRI,
+    "k3-V5": ColoredGraph(
+        {1: 1, 2: 2, 3: 3, 4: 1, 5: 2},
+        frozenset(map(frozenset, [(1, 2), (1, 3), (2, 3), (4, 5)])),
+    ),
+    "k2-V4": ColoredGraph({1: 1, 2: 1, 3: 2, 4: 2}, frozenset(map(frozenset, [(1, 3), (2, 4)]))),
+}
 
-    uf = _UnionFind()
-    for i in range(5000, 0, -1):
-        uf.union(i, i - 1)
-    assert uf.find(5000) == 0  # the min root wins, with no RecursionError
-    assert all(uf.parent[i] == 0 for i in range(5001))  # paths compressed
+
+@pytest.mark.parametrize("kind, graph, digest", [
+    ("gadget-bnt", "k3", "6f2f40e45a8548d9"),
+    ("gadget-bnt", "k3-V5", "6683534ac00a24f6"),
+    ("gadget-bnt", "k2-V4", "735a3a71526c62c5"),
+    ("gadget-ths", "k3", "415aa72aba349c95"),
+    ("gadget-ths", "k3-V5", "9642777e314cca1a"),
+    ("gadget-ths", "k2-V4", "44c6c014fc96864a"),
+])
+def test_gadget_files_are_pinned(tmp_path, kind, graph, digest):
+    """`z2cut gen` writes the same .scx, .chn and legend bytes as when these
+    digests were taken (the first 16 hex digits of sha256(scx + chn + json),
+    default --m 8): vertex ids, simplex order and legend entries included."""
+    cg = tmp_path / "g.cg"
+    cg.write_text(emit_colored_graph(PINNED_GRAPHS[graph]))
+    out = [str(tmp_path / name) for name in ("g.scx", "g.chn", "g.json")]
+    assert main(["gen", kind, "--graph", str(cg), "--out", out[0],
+                 "--chain-out", out[1], "--legend-out", out[2]]) == 0
+    blob = b"".join(open(p, "rb").read() for p in out)
+    assert hashlib.sha256(blob).hexdigest()[:16] == digest

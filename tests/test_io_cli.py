@@ -1,13 +1,17 @@
 """File formats, round trips, and the command-line surface."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import z2cut
 from z2cut.canonical import CANONICAL_NAMES, gen_canonical
 from z2cut.complexes import boundary_matrix, build_complex
 from z2cut.errors import InputError
@@ -229,6 +233,28 @@ def test_cli_bnt_greedy_on_the_k3_gadget(tmp_path):
     assert kernel_basis(boundary_matrix(K, 2)).ncols == 1592
     sol = K.chain(2, [tuple(s) for s in json.load(open(rep))["output"]["solution"]])
     assert len(sol) > 0 and restricted_solve_bnt(K, zeta, sol)
+
+
+def test_cli_closed_stdout_exits_141_quietly(tmp_path):
+    """A reader that goes away (``| head``) gets the SIGPIPE exit status and
+    no traceback; the --json report still records the run."""
+    cg = _write(tmp_path, "k3.cg", "vertex 1 1\nvertex 2 2\nvertex 3 3\nedge 1 2\nedge 1 3\nedge 2 3\n")
+    scx, chn, rep = (str(tmp_path / name) for name in ("k3.scx", "k3.chn", "k3.json"))
+    assert main(["gen", "gadget-bnt", "--graph", cg, "--out", scx, "--chain-out", chn]) == 0
+    src = os.path.dirname(os.path.dirname(z2cut.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts, so its first write fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "z2cut.io_cli", "bnt-greedy", "--complex", scx, "--cycle", chn, "--json", rep],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+    assert json.load(open(rep))["exit_code"] == 141
 
 
 def test_cli_gen_refuses_a_loop_edge(tmp_path, capsys):
