@@ -39,7 +39,7 @@ def solve_bnt_greedy(K: Complex, zeta: Chain) -> Chain:
     if not zeta.support.bits:
         raise InputError("the zero cycle bounds the empty chain; no removal makes it non-bounding")
     x = solve(inst.boundary, zeta.support).bits
-    ker = kernel_basis(inst.boundary).cols  # from the elimination for_bnt made
+    ker = kernel_basis(inst.boundary).cols  # a copy of for_bnt's kernel, which cut reads
     picks = []
     while not x & ~(free := reduce(or_, ker, 0)):
         i = _lowest(free)

@@ -1,7 +1,7 @@
 """Polynomial-time verifiers for both cut problems and their global variants.
 
-Each question about a candidate set S is a rank test on the |S| rows that
-S selects; P_S below keeps the coordinates in S.  With ∂ = ∂_{r+1},
+Each question about a candidate set S is a rank test on matrix columns
+projected to S; P_S below keeps the coordinates in S.  With ∂ = ∂_{r+1},
 B = colspace ∂ the r-boundaries and Z = Z_r the r-cycles:
 
 - THS.  A cycle homologous to zeta is zeta + ∂y, and it avoids S exactly
@@ -17,19 +17,14 @@ B = colspace ∂ the r-boundaries and Z = Z_r the r-cycles:
   rank(P_S ker ∂) < |S|.
 
 A :class:`CutInstance` validates its input and builds these matrices once,
-stored by row, and then answers any number of sets; the four public
+stored by column, and then answers any number of sets; the four public
 verifiers are one-set wrappers around it.  The cut tests build only
 ∂ = ∂_{r+1}; that zeta is a cycle is checked on its members' facets.
-Each rank is the pivot count after inserting the selected rows into one
-``gf2`` pivot dict.  For the two cut tests the target is an extra column
-at bit 0, and column j of the w-column matrix sits at bit w - j; pivots are
-keyed by highest set bit, so key 0 is present exactly when e_0 is in the
-row space, i.e. when the target restricted to S lies outside the column
-space.  The columns are mirrored so that a row is keyed by its first
-column; with the columns in place, the rows of the seed-1 ``fpt``
-benchmark ops took 42% more xor steps.  A search that grows its sets one
-member at a time keeps each set's pivot dict and adds one row per member
-(:meth:`CutInstance.grow`).
+Each rank is the pivot count after inserting the columns, masked to S,
+into one ``gf2`` pivot dict; a cut test then reduces the masked target
+against it, and S is a cut iff a residue is left.  Only a search that
+grows its sets one member at a time transposes (:meth:`CutInstance.grow`):
+it keeps each set's pivot dict of rows and inserts one row per member.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .complexes import Chain, Complex, boundary_matrix
 from .errors import InputError
-from .gf2 import GF2Matrix, Pivots, _bit_indices, _insert, in_colspace, kernel_basis, solve
+from .gf2 import GF2Matrix, GF2Vector, Pivots, _bit_indices, _eliminate, _insert, _reduce, in_colspace, solve
 
 __all__ = [
     "FeasibilityReport",
@@ -84,11 +79,16 @@ def _require_cycle(K: Complex, zeta: Chain) -> None:
         raise InputError("input chain is not a cycle")
 
 
-def _pivots(rows: List[int], S: List[int]) -> Pivots:
-    """The rows indexed by S reduced into one pivot dict; its size is their rank."""
+def _mask(S: List[int]) -> int:
+    return sum(1 << i for i in set(S))
+
+
+def _projected(cols: List[int], mask: int) -> Pivots:
+    """M's columns masked to S in one pivot dict; its size is rank P_S M."""
     pivots: Pivots = {}
-    for i in S:
-        _insert(pivots, rows[i])
+    for c in cols:
+        if c := c & mask:
+            _insert(pivots, c)
     return pivots
 
 
@@ -100,28 +100,20 @@ class CutInstance:
     once to be non-bounding, respectively bounding, and also answer
     :meth:`cut`.  A set is an iterable of simplex indices: r-simplices for
     THS, (r+1)-simplices for BNT.  Each matrix is built on first use and
-    kept, stored by row.
+    kept, stored by column.
     """
 
-    __slots__ = ("K", "r", "boundary", "_augmented", "_bd_rows", "_cycle_rows", "_ker_rows")
+    __slots__ = ("K", "r", "boundary", "_cols", "_target", "_rows", "_cycles")
 
     def __init__(self, K: Complex, r: int) -> None:
         self.K = K
         self.r = r
         self.boundary = boundary_matrix(K, r + 1)
-        # rows of [∂ | zeta] (for_ths) or [ker ∂ | x0] (for_bnt), laid out
-        # by _augment
-        self._augmented: List[int] = []
-        self._bd_rows: Optional[List[int]] = None
-        self._cycle_rows: Optional[List[int]] = None
-        self._ker_rows: Optional[List[int]] = None
-
-    def _augment(self, M: GF2Matrix, target: int) -> None:
-        """Keep the rows of [M | target] with the target's coordinate as bit 0
-        and column j of M as bit M.ncols - j, so that a row's first column is
-        its highest bit, the key it is reduced by."""
-        mirrored = GF2Matrix(M.nrows, M.cols[::-1]).rows()
-        self._augmented = [row << 1 | (target >> i) & 1 for i, row in enumerate(mirrored)]
+        # M and the target of cut: ∂ and zeta (for_ths), ker ∂ and x0 (for_bnt)
+        self._cols: List[int] = []
+        self._target = GF2Vector(0, 0)
+        self._rows: Optional[List[int]] = None
+        self._cycles: Optional[List[int]] = None
 
     @classmethod
     def for_ths(cls, K: Complex, zeta: Chain) -> "CutInstance":
@@ -129,7 +121,7 @@ class CutInstance:
         inst = cls(K, zeta.dimension)
         if in_colspace(inst.boundary, zeta.support):
             raise InputError("input cycle bounds; a non-bounding cycle is required")
-        inst._augment(inst.boundary, zeta.support.bits)
+        inst._cols, inst._target = inst.boundary.cols, zeta.support
         return inst
 
     @classmethod
@@ -138,7 +130,7 @@ class CutInstance:
         x0 = solve(inst.boundary, zeta.support)
         if x0 is None:
             raise InputError("input cycle does not bound; a bounding cycle is required")
-        inst._augment(kernel_basis(inst.boundary), x0.bits)
+        inst._cols, inst._target = _eliminate(inst.boundary)[1], x0
         return inst
 
     def cut(self, S: Iterable[int]) -> Tuple[bool, Dict[str, int]]:
@@ -150,32 +142,42 @@ class CutInstance:
         ranks are those of P_S M and of [P_S M | target|_S].
         """
         S = list(S)
-        pivots = _pivots(self._augmented, S)
-        verdict = 0 in pivots
-        return verdict, {"size_S": len(S), "rank_S": len(pivots) - verdict, "rank_augmented_S": len(pivots)}
+        mask = _mask(S)
+        pivots = _projected(self._cols, mask)
+        verdict = _reduce(pivots, self._target.bits & mask)[0] != 0
+        rank = len(pivots)
+        return verdict, {"size_S": len(S), "rank_S": rank, "rank_augmented_S": rank + verdict}
 
     def grow(self, pivots: Pivots, i: int) -> Tuple[Pivots, bool]:
         """The pivot dict of S + {i} from that of S (left as it is), and
         whether S + {i} is a cut.
 
-        One row is inserted into a copy, so a search that grows its sets
-        one simplex at a time never re-inserts the rows it already holds.
-        ``grow({}, i)`` starts the singleton {i}.
+        Row i of [M | target] is inserted into a copy, so a search never
+        re-inserts the rows it already holds; ``grow({}, i)`` starts {i}.
+        The rows are built on the first call, mirrored: the target is bit 0
+        and column j of the w columns bit w - j, so a row is keyed by its
+        first column (with the columns in place, the rows of the seed-1
+        ``fpt`` benchmark ops took 42% more xor steps).  S is a cut iff
+        key 0 is present: e_0 is in the row space.
         """
+        rows = self._rows
+        if rows is None:
+            mirrored = GF2Matrix(self._target.length, self._cols[::-1]).rows()
+            rows = self._rows = [row << 1 | self._target.get(k) for k, row in enumerate(mirrored)]
         pivots = dict(pivots)
-        _insert(pivots, self._augmented[i])
+        _insert(pivots, rows[i])
         return pivots, 0 in pivots
 
     def global_ths(self, S: Iterable[int]) -> Tuple[bool, Dict[str, int]]:
         """Does H_r(K_S) -> H_r(K) miss a class: rank P_S Z_r > rank P_S ∂_{r+1}."""
-        if self._cycle_rows is None:
+        if self._cycles is None:
             if self.r > self.K.hi:  # Z_r needs ∂_r, which the window does not hold
                 raise InputError(f"dimension {self.r} outside window [{self.K.lo},{self.K.hi}]")
-            self._cycle_rows = kernel_basis(boundary_matrix(self.K, self.r)).rows()
-            self._bd_rows = self.boundary.rows()
+            self._cycles = _eliminate(boundary_matrix(self.K, self.r))[1]
         S = list(S)
-        rank_cycles = len(_pivots(self._cycle_rows, S))
-        rank_boundary = len(_pivots(self._bd_rows, S))
+        mask = _mask(S)
+        rank_cycles = len(_projected(self._cycles, mask))
+        rank_boundary = len(_projected(self.boundary.cols, mask))
         return rank_cycles > rank_boundary, {
             "size_S": len(S),
             "rank_cycles_S": rank_cycles,
@@ -184,10 +186,8 @@ class CutInstance:
 
     def global_bnt(self, S: Iterable[int]) -> Tuple[bool, Dict[str, int]]:
         """Does removing S lower rank ∂_{r+1}: rank P_S ker ∂_{r+1} < |S|."""
-        if self._ker_rows is None:
-            self._ker_rows = kernel_basis(self.boundary).rows()
         S = list(S)
-        rank_kernel = len(_pivots(self._ker_rows, S))
+        rank_kernel = len(_projected(_eliminate(self.boundary)[1], _mask(S)))
         return rank_kernel < len(S), {"size_S": len(S), "rank_kernel_S": rank_kernel}
 
 

@@ -5,10 +5,10 @@ adjacency, so the search walks the connected sets of at most k
 r-simplices depth first, each once, from its least member: from a center
 tau it extends only by neighbours u > tau (the ESU rule; Wernicke,
 "Efficient detection of network motifs", 2006).  Each search node holds
-the pivot dict of its set's rows in one ``CutInstance`` built per solve,
-made from its parent's by one insertion, so the cut test of a node is one
-row reduction.  A cut is not extended, and no set is grown past the size
-of the best cut found so far.
+the pivot dict of its set's rows in one ``CutInstance`` built per solve
+(the only cut test laid out by row), made from its parent's by one
+insertion, so the cut test of a node is one row reduction.  A cut is not
+extended, and no set is grown past the size of the best cut found so far.
 """
 
 from __future__ import annotations

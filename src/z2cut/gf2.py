@@ -17,11 +17,11 @@ lies outside the span of the columns before it, and the solution of
 ``solve`` and each kernel vector are the unique combinations of those pivot
 columns, so any correct reduction returns the same bits.
 
-The cut tests of ``feasibility`` use the same reducer on matrix rows:
-inserting the rows a set selects into one pivot dict gives their rank.
-This module is also the only one that transposes a matrix
-(:meth:`GF2Matrix.rows`) or walks the set bits of a bitset
-(``_bit_indices``, ``_reindex``).
+The cut tests of ``feasibility`` use the same reducer on columns masked
+to a set (only the FPT search keeps its sets by row): inserting them into
+one pivot dict gives their rank.  This module is also the only one that
+transposes a matrix (:meth:`GF2Matrix.rows`) or walks the set bits of a
+bitset (``_bit_indices``, ``_reindex``).
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_complex
+from z2cut.bnt_greedy import solve_bnt_greedy
 from z2cut.canonical import CANONICAL_NAMES, gen_canonical
 from z2cut.complexes import boundary_matrix, build_complex, evaluate, r_adjacency
 from z2cut.errors import InputError
@@ -20,7 +21,7 @@ from z2cut.feasibility import (
 )
 from z2cut.fpt_ths import FPTConfig, enumerate_connected_sets, solve_ths_fpt
 from z2cut.gf2 import GF2Matrix, kernel_basis, rank, solve
-from z2cut.global_rand import random_bounding_cycle, random_nontrivial_cycle
+from z2cut.global_rand import random_bounding_cycle, random_nontrivial_cycle, solve_global_bnt
 from z2cut.homology import betti, homology_basis
 from z2cut.io_cli import emit_chain, emit_complex, main
 from z2cut.oracle import (
@@ -219,13 +220,18 @@ def _facet_adjacency(K, d):
     return adj
 
 
-def _projected_ranks(cols, target, S):
-    """rank P_S M and rank [P_S M | target|_S], eliminated column by column."""
+def _projected_rank(cols, S):
+    """rank P_S M of the matrix M with these columns, S a list of its row
+    indices, eliminated column by column."""
     def project(bits):
         return sum(1 << pos for pos, i in enumerate(S) if bits >> i & 1)
 
-    M = [project(c) for c in cols]
-    return rank(GF2Matrix(len(S), M)), rank(GF2Matrix(len(S), M + [project(target)]))
+    return rank(GF2Matrix(len(S), [project(c) for c in cols]))
+
+
+def _projected_ranks(cols, target, S):
+    """rank P_S M and rank [P_S M | target|_S]."""
+    return _projected_rank(cols, S), _projected_rank(cols + [target], S)
 
 
 def _check_grow_and_cut(inst, zeta, dim, sets, cols, target, reference):
@@ -270,3 +276,85 @@ def test_grow_and_cut_on_the_canonical_corpus(name):
 @given(_random_complexes, st.integers(0, 2**30))
 def test_grow_and_cut_on_random_complexes(K, seed):
     _check_every_small_cut(K, seed)
+
+
+def _arbitrary_sets(K, d, draw):
+    """The empty set, every d-simplex and one drawn set: chains and index lists."""
+    n = K.n(d)
+    for bits in (0, (1 << n) - 1, draw(st.integers(0, (1 << n) - 1), label=f"S{d}")):
+        yield K.chain_from_bits(d, bits), [i for i in range(n) if bits >> i & 1]
+
+
+def _check_all_four_ranks(K, seed, draw):
+    """The ranks of every verifier report equal a column elimination of the
+    projected matrices: P_S ∂ and [P_S ∂ | zeta|_S] (THS), P_S Z_r and
+    P_S ∂ (global THS), P_S ker ∂ and [P_S ker ∂ | x0|_S] (BNT), and
+    P_S ker ∂ (global BNT), with ∂ = ∂_{r+1}."""
+    for r in range(K.lo, K.hi + 1):
+        B = boundary_matrix(K, r + 1)
+        bd = B.cols
+        cycles = kernel_basis(boundary_matrix(K, r)).cols
+        zeta = random_nontrivial_cycle(K, r, seed) if betti(K, r) else None
+        for S, idx in _arbitrary_sets(K, r, draw):
+            report = is_global_ths_solution(K, r, S)
+            ranks = (_projected_rank(cycles, idx), _projected_rank(bd, idx))
+            assert (report.ranks["rank_cycles_S"], report.ranks["rank_boundary_S"]) == ranks, (r, idx)
+            assert report.verdict == (ranks[0] > ranks[1])
+            if zeta is not None:
+                report = is_ths_feasible(K, zeta, S)
+                ranks = _projected_ranks(bd, zeta.support.bits, idx)
+                assert (report.ranks["rank_S"], report.ranks["rank_augmented_S"]) == ranks, (r, idx)
+                assert report.verdict == (ranks[0] < ranks[1])
+        if r == K.hi:
+            continue
+        ker = kernel_basis(B).cols
+        xi = random_bounding_cycle(K, r, seed) if any(bd) else None
+        for T, idx in _arbitrary_sets(K, r + 1, draw):
+            report = is_global_bnt_solution(K, r, T)
+            assert report.ranks["rank_kernel_S"] == _projected_rank(ker, idx), (r, idx)
+            assert report.verdict == (report.ranks["rank_kernel_S"] < len(idx))
+            if xi is not None:
+                report = is_bnt_feasible(K, xi, T)
+                ranks = _projected_ranks(ker, solve(B, xi.support).bits, idx)
+                assert (report.ranks["rank_S"], report.ranks["rank_augmented_S"]) == ranks, (r, idx)
+                assert report.verdict == (ranks[0] < ranks[1])
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**30), st.data())
+def test_all_four_ranks_on_the_canonical_corpus(name, seed, data):
+    K, _ = gen_canonical(name, {"g": 2} if name == "genus-g" else None)
+    _check_all_four_ranks(K, seed, data.draw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_complexes, st.integers(0, 2**30), st.data())
+def test_all_four_ranks_on_random_complexes(K, seed, data):
+    _check_all_four_ranks(K, seed, data.draw)
+
+
+def test_only_the_fpt_search_transposes(torus, tetra, monkeypatch):
+    """A one-shot cut test reads the columns a set masks and transposes no
+    matrix; an FPT solve transposes once, for the rows its search grows."""
+    transposed = []
+    rows = GF2Matrix.rows
+    monkeypatch.setattr(GF2Matrix, "rows", lambda M: transposed.append(M.nrows) or rows(M))
+    K, zeta = torus
+    T, xi = tetra
+    one_shot = {
+        "is_ths_feasible": lambda: is_ths_feasible(K, zeta, K.chain(1, K.simplices[1][:4])),
+        "is_bnt_feasible": lambda: is_bnt_feasible(T, xi, T.chain(2, T.simplices[2][:2])),
+        "is_global_ths_solution": lambda: is_global_ths_solution(K, 1, K.chain(1, K.simplices[1][:4])),
+        "is_global_bnt_solution": lambda: is_global_bnt_solution(T, 1, T.chain(2, T.simplices[2][:2])),
+        "solve_bnt_greedy": lambda: solve_bnt_greedy(T, xi),
+        "solve_global_bnt": lambda: solve_global_bnt(T, 1, seed=1),
+        "solve_ths_surface": lambda: solve_ths_surface(K, zeta),
+    }
+    for name, call in one_shot.items():
+        call()
+        assert transposed == [], name
+    for k in (1, 2, 3):
+        solve_ths_fpt(K, zeta, FPTConfig(k=k))
+        assert len(transposed) <= 1, k
+        transposed.clear()
