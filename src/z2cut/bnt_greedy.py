@@ -49,6 +49,7 @@ def solve_bnt_greedy(K: Complex, zeta: Chain) -> Chain:
         if x >> i & 1:
             x ^= b
     picks.append(_lowest(x & ~free))
-    if not inst.cut(picks)[0]:
+    bits = sum(1 << j for j in picks)
+    if not inst.cut(bits)[0]:
         raise InternalError("greedy cover output failed the feasibility check")
-    return K.chain_from_bits(r + 1, sum(1 << j for j in picks))
+    return K.chain_from_bits(r + 1, bits)

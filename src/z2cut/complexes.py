@@ -73,7 +73,7 @@ class Complex:
     """Immutable windowed simplicial complex.
 
     Construct via :func:`build_complex`; the raw constructor expects
-    already-closed per-dimension simplex lists.
+    already-closed per-dimension simplex collections, in any order.
     """
 
     __slots__ = ("lo", "hi", "simplices", "index", "weights")
@@ -82,7 +82,7 @@ class Complex:
         self,
         lo: int,
         hi: int,
-        simplices: Dict[int, List[Simplex]],
+        simplices: Dict[int, Iterable[Simplex]],
         weights: Optional[Dict[Simplex, float]] = None,
     ):
         _check_window(lo, hi)
@@ -173,7 +173,7 @@ def build_complex(
             raise InputError(f"top simplex {s} above window [{lo},{hi}]")
         for p in range(lo, d + 1):
             per_dim[p].update(combinations(s, p + 1))
-    return Complex(lo, hi, {p: sorted(v) for p, v in per_dim.items()}, weights)
+    return Complex(lo, hi, per_dim, weights)
 
 
 def boundary_matrix(K: Complex, p: int) -> GF2Matrix:
@@ -228,7 +228,8 @@ def remove_closure(K: Complex, S: Chain) -> Tuple[Complex, Dict[int, Dict[int, i
             kept.append(s)
         survivors[q] = kept
         mapping[q] = remap
-    weights = {e: w for e, w in K.weights.items() if e in set(survivors.get(1, ()))}
+    edges = set(survivors.get(1, ()))
+    weights = {e: w for e, w in K.weights.items() if e in edges}
     return Complex(K.lo, K.hi, survivors, weights or None), mapping
 
 
@@ -251,8 +252,9 @@ def r_adjacency(K: Complex, r: int) -> Dict[int, set]:
     return adj
 
 
-def _surface_cofacets(K: Complex) -> Optional[Dict[Simplex, List[int]]]:
-    """Edge -> indices of its two triangles if K is a closed surface, else None.
+def _surface_cofacets(K: Complex) -> Optional[List[List[int]]]:
+    """Per edge index, the indices of its two triangles, ascending, if K is
+    a closed surface, else None.
 
     One pass over the triangles collects the edge cofacets and every vertex
     link; K is a closed surface when each edge has exactly two triangles and
@@ -260,16 +262,17 @@ def _surface_cofacets(K: Complex) -> Optional[Dict[Simplex, List[int]]]:
     """
     if K.lo > 0 or K.hi < 2:
         return None
-    cofacets: Dict[Simplex, List[int]] = {e: [] for e in K.simplices[1]}
+    edge = K.index[1]
+    cofacets: List[List[int]] = [[] for _ in range(K.n(1))]
     links: Dict[int, Dict[int, List[int]]] = {v: {} for (v,) in K.simplices[0]}
     for ti, t in enumerate(K.simplices[2]):
         for e in combinations(t, 2):
-            cofacets[e].append(ti)
+            cofacets[edge[e]].append(ti)
         for v in t:
             a, b = (u for u in t if u != v)
             links[v].setdefault(a, []).append(b)
             links[v].setdefault(b, []).append(a)
-    if any(len(ts) != 2 for ts in cofacets.values()):
+    if any(len(ts) != 2 for ts in cofacets):
         return None
     for link in links.values():
         if not link or any(len(nbrs) != 2 for nbrs in link.values()):
@@ -291,19 +294,12 @@ def is_closed_surface(K: Complex) -> bool:
     return _surface_cofacets(K) is not None
 
 
-def dual_graph(K: Complex):
+def dual_graph(K: Complex) -> List[Tuple[int, int, int]]:
     """Dual graph of a closed surface: one node per triangle, one graph edge
-    per primal edge.  Returns (adjacency dict, list of (t1, t2, primal edge
-    index) triples aligned with the primal edge indexing).
+    per primal edge.  Returns the (t1, t2, primal edge index) triples, t1 < t2,
+    in primal edge order.
     """
     cofacets = _surface_cofacets(K)
     if cofacets is None:
         raise InputError("dual_graph requires a closed surface")
-    adj: Dict[int, set] = {i: set() for i in range(K.n(2))}
-    edges = []
-    for ei, e in enumerate(K.simplices[1]):
-        a, b = cofacets[e]
-        adj[a].add(b)
-        adj[b].add(a)
-        edges.append((a, b, ei))
-    return adj, edges
+    return [(a, b, ei) for ei, (a, b) in enumerate(cofacets)]

@@ -16,7 +16,8 @@ B = colspace ∂ the r-boundaries and Z = Z_r the r-cycles:
   |S| - rank(P_S ker ∂) of its rank, so the boundary space shrinks iff
   rank(P_S ker ∂) < |S|.
 
-A :class:`CutInstance` validates its input and builds these matrices once,
+A set is a bitset over simplex indices, as a chain's support is.  A
+:class:`CutInstance` validates its input and builds these matrices once,
 stored by column, and then answers any number of sets; the four public
 verifiers are one-set wrappers around it.  The cut tests build only
 ∂ = ∂_{r+1}; that zeta is a cycle is checked on its members' facets.
@@ -31,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .complexes import Chain, Complex, boundary_matrix
 from .errors import InputError
-from .gf2 import GF2Matrix, GF2Vector, Pivots, _bit_indices, _eliminate, _insert, _reduce, in_colspace, solve
+from .gf2 import GF2Matrix, GF2Vector, Pivots, _eliminate, _insert, _reduce, in_colspace, solve
 
 __all__ = [
     "FeasibilityReport",
@@ -79,10 +80,6 @@ def _require_cycle(K: Complex, zeta: Chain) -> None:
         raise InputError("input chain is not a cycle")
 
 
-def _mask(S: List[int]) -> int:
-    return sum(1 << i for i in set(S))
-
-
 def _projected(cols: List[int], mask: int) -> Pivots:
     """M's columns masked to S in one pivot dict; its size is rank P_S M."""
     pivots: Pivots = {}
@@ -98,9 +95,9 @@ class CutInstance:
     ``CutInstance(K, r)`` answers the two global questions; :meth:`for_ths`
     and :meth:`for_bnt` build the instance for one r-cycle zeta, checked
     once to be non-bounding, respectively bounding, and also answer
-    :meth:`cut`.  A set is an iterable of simplex indices: r-simplices for
-    THS, (r+1)-simplices for BNT.  Each matrix is built on first use and
-    kept, stored by column.
+    :meth:`cut`.  A set is a bitset over simplex indices: r-simplices for
+    THS and global THS, (r+1)-simplices for BNT and global BNT.  Each
+    matrix is built on first use and kept, stored by column.
     """
 
     __slots__ = ("K", "r", "boundary", "_cols", "_target", "_rows", "_cycles")
@@ -133,7 +130,7 @@ class CutInstance:
         inst._cols, inst._target = _eliminate(inst.boundary)[1], x0
         return inst
 
-    def cut(self, S: Iterable[int]) -> Tuple[bool, Dict[str, int]]:
+    def cut(self, mask: int) -> Tuple[bool, Dict[str, int]]:
         """Is S a cut, and the ranks that decide it.
 
         From :meth:`for_ths`: does S meet every cycle homologous to zeta,
@@ -141,12 +138,10 @@ class CutInstance:
         S leave zeta non-bounding, i.e. x0|_S ∉ colspace(P_S ker ∂).  The
         ranks are those of P_S M and of [P_S M | target|_S].
         """
-        S = list(S)
-        mask = _mask(S)
         pivots = _projected(self._cols, mask)
         verdict = _reduce(pivots, self._target.bits & mask)[0] != 0
         rank = len(pivots)
-        return verdict, {"size_S": len(S), "rank_S": rank, "rank_augmented_S": rank + verdict}
+        return verdict, {"size_S": mask.bit_count(), "rank_S": rank, "rank_augmented_S": rank + verdict}
 
     def grow(self, pivots: Pivots, i: int) -> Tuple[Pivots, bool]:
         """The pivot dict of S + {i} from that of S (left as it is), and
@@ -168,27 +163,28 @@ class CutInstance:
         _insert(pivots, rows[i])
         return pivots, 0 in pivots
 
-    def global_ths(self, S: Iterable[int]) -> Tuple[bool, Dict[str, int]]:
+    def global_ths(self, mask: int) -> Tuple[bool, Dict[str, int]]:
         """Does H_r(K_S) -> H_r(K) miss a class: rank P_S Z_r > rank P_S ∂_{r+1}."""
         if self._cycles is None:
             if self.r > self.K.hi:  # Z_r needs ∂_r, which the window does not hold
                 raise InputError(f"dimension {self.r} outside window [{self.K.lo},{self.K.hi}]")
             self._cycles = _eliminate(boundary_matrix(self.K, self.r))[1]
-        S = list(S)
-        mask = _mask(S)
         rank_cycles = len(_projected(self._cycles, mask))
         rank_boundary = len(_projected(self.boundary.cols, mask))
         return rank_cycles > rank_boundary, {
-            "size_S": len(S),
+            "size_S": mask.bit_count(),
             "rank_cycles_S": rank_cycles,
             "rank_boundary_S": rank_boundary,
         }
 
-    def global_bnt(self, S: Iterable[int]) -> Tuple[bool, Dict[str, int]]:
+    def global_bnt(self, mask: int) -> Tuple[bool, Dict[str, int]]:
         """Does removing S lower rank ∂_{r+1}: rank P_S ker ∂_{r+1} < |S|."""
-        S = list(S)
-        rank_kernel = len(_projected(_eliminate(self.boundary)[1], _mask(S)))
-        return rank_kernel < len(S), {"size_S": len(S), "rank_kernel_S": rank_kernel}
+        size = mask.bit_count()
+        rank_kernel = len(_projected(_eliminate(self.boundary)[1], mask))
+        return rank_kernel < size, {"size_S": size, "rank_kernel_S": rank_kernel}
+
+
+_THS_METHOD = "projected-boundary-colspace"
 
 
 def _report(method: str, answer: Tuple[bool, Dict[str, int]]) -> FeasibilityReport:
@@ -198,22 +194,22 @@ def _report(method: str, answer: Tuple[bool, Dict[str, int]]) -> FeasibilityRepo
 def is_ths_feasible(K: Complex, zeta: Chain, S: Chain) -> FeasibilityReport:
     """Does S meet every cycle homologous to zeta?"""
     _require_set(K, S, zeta.dimension, "solution set must consist of simplices of zeta's dimension")
-    return _report("projected-boundary-colspace", CutInstance.for_ths(K, zeta).cut(_bit_indices(S.support.bits)))
+    return _report(_THS_METHOD, CutInstance.for_ths(K, zeta).cut(S.support.bits))
 
 
 def is_bnt_feasible(K: Complex, zeta: Chain, S: Chain) -> FeasibilityReport:
     """Does removing S in dimension r+1 make zeta non-bounding?"""
     _require_set(K, S, zeta.dimension + 1, "solution set must consist of (r+1)-simplices")
-    return _report("projected-kernel-colspace", CutInstance.for_bnt(K, zeta).cut(_bit_indices(S.support.bits)))
+    return _report("projected-kernel-colspace", CutInstance.for_bnt(K, zeta).cut(S.support.bits))
 
 
 def is_global_ths_solution(K: Complex, r: int, S: Chain) -> FeasibilityReport:
     """Is the inclusion-induced map H_r(K_S) -> H_r(K) non-surjective?"""
     _require_set(K, S, r, "solution set must consist of r-simplices")
-    return _report("projected-cycle-rank", CutInstance(K, r).global_ths(_bit_indices(S.support.bits)))
+    return _report("projected-cycle-rank", CutInstance(K, r).global_ths(S.support.bits))
 
 
 def is_global_bnt_solution(K: Complex, r: int, S: Chain) -> FeasibilityReport:
     """Does removing S strictly shrink the boundary space in dimension r?"""
     _require_set(K, S, r + 1, "solution set must consist of (r+1)-simplices")
-    return _report("projected-kernel-rank", CutInstance(K, r).global_bnt(_bit_indices(S.support.bits)))
+    return _report("projected-kernel-rank", CutInstance(K, r).global_bnt(S.support.bits))

@@ -131,9 +131,9 @@ def solve_ths_fpt(K: Complex, zeta: Chain, config: FPTConfig) -> Optional[Chain]
             cap = best[0] - 1
     if best is None:
         return None
-    if not inst.cut(best[1])[0]:
-        raise InternalError("best candidate failed the feasibility check")
     bits = 0
     for i in best[1]:
         bits |= 1 << i
+    if not inst.cut(bits)[0]:
+        raise InternalError("best candidate failed the feasibility check")
     return K.chain_from_bits(r, bits)

@@ -94,9 +94,6 @@ class GF2Matrix:
     def ncols(self) -> int:
         return len(self.cols)
 
-    def column(self, j: int) -> GF2Vector:
-        return GF2Vector(self.nrows, self.cols[j])
-
     def matvec(self, x: GF2Vector) -> GF2Vector:
         if x.length != self.ncols:
             raise InputError("matvec dimension mismatch")

@@ -118,7 +118,7 @@ def solve_global_ths(
     for t in range(trials):
         zeta = _draw_class(hb, seed + t)
         sol = solve_ths_fpt(K, zeta, config)
-        ok = sol is not None and inst.global_ths(_bit_indices(sol.support.bits))[0]
+        ok = sol is not None and inst.global_ths(sol.support.bits)[0]
         if run is not None:
             run.records.append(
                 {"trial": t, "class": zeta.support.bits, "size": None if sol is None else len(sol), "success": ok}
@@ -143,7 +143,7 @@ def solve_global_bnt(
     for t in range(trials):
         zeta = _draw_bounding(K, r, inst.boundary, pivots, seed + t)
         sol = solve_bnt_greedy(K, zeta)
-        ok = inst.global_bnt(_bit_indices(sol.support.bits))[0]
+        ok = inst.global_bnt(sol.support.bits)[0]
         if run is not None:
             run.records.append(
                 {"trial": t, "cycle": zeta.support.bits, "size": len(sol), "success": ok}

@@ -262,10 +262,9 @@ def min_cohomology_basis(K: Complex) -> List[WeightedChain]:
     surface the complex is connected iff its dual graph is, which the
     greedy checks.
     """
-    _, dedges = dual_graph(K)
     # dual edge j joins triangles ends[j] across primal edge primal[j], in
     # (t1, t2) triangle-pair order
-    order = sorted(dedges)
+    order = sorted(dual_graph(K))
     ends = [(t1, t2) for t1, t2, _ in order]
     primal = [ei for _, _, ei in order]
     dual = [0] * len(primal)

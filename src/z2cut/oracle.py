@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Set
 
 from .complexes import Chain, Complex, boundary_matrix, dual_graph, remove_closure
 from .errors import InputError, ResourceError
-from .gf2 import GF2Matrix, column_space_pivots, in_colspace, kernel_basis, rank, relative_rank, solve
+from .gf2 import GF2Matrix, _reindex, column_space_pivots, in_colspace, kernel_basis, rank, relative_rank, solve
 from .homology import betti, homology_basis
 
 __all__ = [
@@ -29,10 +29,13 @@ __all__ = [
 ]
 
 
+# the largest kmax the subset searches accept
+MAX_SUBSET_SIZE = 16
+
+
 @dataclass(frozen=True)
 class OracleBudget:
     max_enumeration: int = 1 << 22
-    max_subset_size: int = 16
 
 
 def enumerate_homologous(K: Complex, zeta: Chain, budget: OracleBudget = OracleBudget()) -> List[Chain]:
@@ -64,12 +67,12 @@ def enumerate_boundary_chains(K: Complex, zeta: Chain, budget: OracleBudget = Or
     return [K.chain_from_bits(r + 1, x) for x in out]
 
 
-def _min_hitting_set(K: Complex, dim: int, targets: List[int], kmax: int, budget: OracleBudget) -> Optional[Chain]:
+def _min_hitting_set(K: Complex, dim: int, targets: List[int], kmax: int) -> Optional[Chain]:
     """Smallest (size, then lexicographic) index subset intersecting every target."""
     n = K.n(dim)
     if kmax < 0:
         raise InputError(f"kmax must be at least 0, got {kmax}")
-    if kmax > budget.max_subset_size:
+    if kmax > MAX_SUBSET_SIZE:
         raise ResourceError(f"subset size {kmax} exceeds budget")
     for size in range(kmax + 1):
         for combo in combinations(range(n), size):
@@ -87,7 +90,7 @@ def brute_ths(K: Complex, zeta: Chain, kmax: int, budget: OracleBudget = OracleB
     targets = [c.support.bits for c in cycles]
     if any(t == 0 for t in targets):
         raise InputError("zeta is bounding; the zero cycle cannot be hit")
-    return _min_hitting_set(K, zeta.dimension, targets, kmax, budget)
+    return _min_hitting_set(K, zeta.dimension, targets, kmax)
 
 
 def brute_bnt(K: Complex, zeta: Chain, kmax: int, budget: OracleBudget = OracleBudget()) -> Optional[Chain]:
@@ -98,7 +101,7 @@ def brute_bnt(K: Complex, zeta: Chain, kmax: int, budget: OracleBudget = OracleB
     targets = [c.support.bits for c in chains]
     if any(t == 0 for t in targets):
         return None
-    return _min_hitting_set(K, zeta.dimension + 1, targets, kmax, budget)
+    return _min_hitting_set(K, zeta.dimension + 1, targets, kmax)
 
 
 def _simple_cycles_upto(adj: Dict[int, Set[int]], max_len: int) -> List[frozenset]:
@@ -135,8 +138,12 @@ def brute_ths_surface(K: Complex, zeta: Chain, wmax: Optional[int] = None) -> Op
         or in_colspace(boundary_matrix(K, 2), zeta.support)
     ):
         raise InputError("zeta must be a non-bounding 1-cycle")
-    adj, dedges = dual_graph(K)
-    pair_to_edge = {(min(a, b), max(a, b)): ei for a, b, ei in dedges}
+    adj: Dict[int, Set[int]] = {t: set() for t in range(K.n(2))}
+    pair_to_edge = {}
+    for a, b, ei in dual_graph(K):
+        adj[a].add(b)
+        adj[b].add(a)
+        pair_to_edge[a, b] = ei
     limit = wmax if wmax is not None else K.n(1)
     cap = min(3, limit)
     while True:
@@ -161,13 +168,7 @@ def brute_ths_surface(K: Complex, zeta: Chain, wmax: Optional[int] = None) -> Op
 
 def _lift(mapping: Dict[int, Dict[int, int]], c: Chain) -> int:
     """Re-index a K_S chain's support bits into K's index space."""
-    inv = {new: old for old, new in mapping[c.dimension].items()}
-    bits, out = c.support.bits, 0
-    while bits:
-        i = (bits & -bits).bit_length() - 1
-        out |= 1 << inv[i]
-        bits &= bits - 1
-    return out
+    return _reindex(c.support.bits, {new: old for old, new in mapping[c.dimension].items()})
 
 
 def _surviving_cycles(K: Complex, S: Chain) -> List[int]:

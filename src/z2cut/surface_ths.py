@@ -4,18 +4,21 @@ Minimal solutions on surfaces are nontrivial cocycles that trace a circle
 in the dual graph, so it suffices to compute a minimum-weight cocycle
 basis (``homology.min_cohomology_basis``, a shortest-cycle greedy on the
 dual graph) and pick the lightest element with odd pairing against the
-input cycle.
+input cycle; one cut test certifies it.  The cocycle tests transpose
+nothing: eta is a cocycle iff it vanishes on every column of ∂_2, and a
+cocycle is a coboundary iff it vanishes on a ker ∂_1 basis, since
+im δ_0 = (ker ∂_1)^⊥ over GF(2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List
 
 from .complexes import Chain, Complex, boundary_matrix, dual_graph, evaluate
 from .errors import InputError, InternalError
-from .feasibility import CutInstance, FeasibilityReport
-from .gf2 import GF2Matrix, _bit_indices, in_colspace
+from .feasibility import _THS_METHOD, CutInstance, FeasibilityReport, _report
+from .gf2 import kernel_basis
 from .homology import min_cohomology_basis
 
 __all__ = [
@@ -37,21 +40,22 @@ class SurfaceTHSResult:
     certificate: FeasibilityReport
 
 
-def _coboundary(K: Complex, p: int) -> GF2Matrix:
-    """delta_p, the transpose of ∂_(p+1): column j is the coboundary of p-simplex j."""
-    return GF2Matrix(K.n(p + 1), boundary_matrix(K, p + 1).rows())
+def _pairs_evenly(K: Complex, eta: Chain, chains: List[int]) -> bool:
+    """Does the 1-cochain eta vanish on each of these 1-chains of K?"""
+    if eta.support.length != K.n(1):
+        raise InputError("cochain does not belong to this complex")
+    return not any((eta.support.bits & c).bit_count() & 1 for c in chains)
 
 
 def is_connected_cocycle(K: Complex, eta: Chain) -> bool:
     """A nonempty 1-cocycle whose edges induce a connected dual subgraph."""
     if eta.dimension != 1:
         raise InputError("connected cocycles live in dimension 1")
-    if eta.support.bits == 0 or _coboundary(K, 1).matvec(eta.support).bits:
+    if eta.support.bits == 0 or not _pairs_evenly(K, eta, boundary_matrix(K, 2).cols):
         return False
-    _, dedges = dual_graph(K)
     nodes: set = set()
     adj: Dict[int, set] = {}
-    for a, b, ei in dedges:
+    for a, b, ei in dual_graph(K):
         if eta.support.get(ei):
             nodes.update((a, b))
             adj.setdefault(a, set()).add(b)
@@ -72,9 +76,9 @@ def classify_cocycle(K: Complex, eta: Chain) -> str:
     """One of 'not-cocycle', 'trivial-cocycle', 'nontrivial-cocycle'."""
     if eta.dimension != 1:
         raise InputError("classification is for 1-cochains")
-    if _coboundary(K, 1).matvec(eta.support).bits:
+    if not _pairs_evenly(K, eta, boundary_matrix(K, 2).cols):
         return "not-cocycle"
-    if in_colspace(_coboundary(K, 0), eta.support):
+    if _pairs_evenly(K, eta, kernel_basis(boundary_matrix(K, 1)).cols):
         return "trivial-cocycle"
     return "nontrivial-cocycle"
 
@@ -86,9 +90,8 @@ def solve_ths_surface(K: Complex, zeta: Chain) -> SurfaceTHSResult:
     inst = CutInstance.for_ths(K, zeta)  # InputError unless zeta is a non-bounding cycle
     for i, wc in enumerate(min_cohomology_basis(K)):
         if evaluate(wc.chain, zeta):
-            verdict, ranks = inst.cut(_bit_indices(wc.chain.support.bits))
-            cert = FeasibilityReport(verdict, "projected-boundary-colspace", ranks)
-            if not verdict:
+            cert = _report(_THS_METHOD, inst.cut(wc.chain.support.bits))
+            if not cert.verdict:
                 raise InternalError("selected basis cocycle is not feasible")
             return SurfaceTHSResult(wc.chain, wc.weight, i, cert)
     raise InternalError("no basis cocycle pairs oddly with a nontrivial cycle")

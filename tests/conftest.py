@@ -1,8 +1,10 @@
 """Shared fixtures: canonical complexes and a small random-complex pool."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
 from z2cut.canonical import gen_canonical
 from z2cut.complexes import build_complex
@@ -32,3 +34,13 @@ def random_complex(seed, nv=6, ntri=5, window=(0, 2)):
     # keep every vertex present so dimension 0 is never empty
     tops = sorted(tris) + [(v,) for v in range(nv)]
     return build_complex(tops, window)
+
+
+_TRIANGLES = list(combinations(range(6), 3))
+
+# hypothesis strategy: up to 10 triangles on 6 vertices, window [0,2] or [1,2]
+random_complexes = st.builds(
+    lambda tris, window: build_complex(sorted(tris) + [(v,) for v in range(6)], window),
+    st.sets(st.sampled_from(_TRIANGLES), min_size=1, max_size=10),
+    st.sampled_from([(0, 2), (1, 2)]),
+)

@@ -374,7 +374,7 @@ def _bnt_decision(inst, G):
     for alphas in product(*(alpha_opts[i] for i in range(1, k + 1))):
         for betas in product(*(sorted(beta_opts[p]) for p in pairs)):
             members = {*alphas, *betas}
-            if len(members) <= inst.parameter and cut(index[s] for s in members)[0]:
+            if len(members) <= inst.parameter and cut(sum(1 << index[s] for s in members))[0]:
                 return True
     return False
 

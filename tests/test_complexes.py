@@ -1,5 +1,7 @@
 """Windowed complexes, boundary maps, and surface predicates."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,11 @@ def test_remove_closure_drops_cofaces():
     # mapping relates surviving old indices to new ones
     for old, new in mapping[1].items():
         assert KS.simplices[1][new] == K.simplices[1][old]
+    # the removed edge's weight is dropped, every other weight kept
+    weights = {(0, 1): 2, (0, 2): 3, (1, 2): 5, (1, 3): 7, (2, 3): 1.5}
+    W = build_complex([(0, 1, 2), (1, 2, 3)], (0, 2), weights)
+    WS, _ = remove_closure(W, W.chain(1, [(1, 2)]))
+    assert WS.weights == {e: w for e, w in weights.items() if e != (1, 2)}
 
 
 def test_surface_predicates(torus, tetra):
@@ -107,10 +114,14 @@ def test_surface_predicates(torus, tetra):
 
 def test_dual_graph_torus(torus):
     K, _ = torus
-    adj, edges = dual_graph(K)
-    assert len(adj) == K.n(2)
-    assert all(len(v) == 3 for v in adj.values())
-    assert len(edges) == K.n(1)
+    edges = dual_graph(K)
+    # one triple per primal edge, in order, across two triangles that hold it
+    assert [ei for _, _, ei in edges] == list(range(K.n(1)))
+    for t1, t2, ei in edges:
+        assert t1 < t2
+        assert set(K.simplices[1][ei]) <= set(K.simplices[2][t1]) & set(K.simplices[2][t2])
+    degree = Counter(t for t1, t2, _ in edges for t in (t1, t2))
+    assert sorted(degree) == list(range(K.n(2))) and set(degree.values()) == {3}
 
 
 def test_r_adjacency_counts():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex
+from conftest import random_complexes
 from z2cut.bnt_greedy import solve_bnt_greedy
 from z2cut.canonical import CANONICAL_NAMES, gen_canonical
 from z2cut.complexes import boundary_matrix, build_complex, evaluate, r_adjacency
@@ -32,7 +32,7 @@ from z2cut.oracle import (
     surviving_basis_global_ths,
     surviving_basis_ths,
 )
-from z2cut.surface_ths import solve_ths_surface
+from z2cut.surface_ths import classify_cocycle, is_connected_cocycle, solve_ths_surface
 
 
 def _enum_ths_feasible(K, zeta, S):
@@ -165,19 +165,11 @@ def test_reports_carry_metadata(torus):
     assert not rep.verdict  # empty set never hits a nontrivial class
 
 
-_TRIANGLES = list(combinations(range(6), 3))
-
-_random_complexes = st.builds(
-    lambda tris, window: build_complex(sorted(tris) + [(v,) for v in range(6)], window),
-    st.sets(st.sampled_from(_TRIANGLES), min_size=1, max_size=10),
-    st.sampled_from([(0, 2), (1, 2)]),
-)
-
 _complexes = st.one_of(
     st.sampled_from(CANONICAL_NAMES).map(
         lambda name: gen_canonical(name, {"g": 2} if name == "genus-g" else None)[0]
     ),
-    _random_complexes,
+    random_complexes,
 )
 
 
@@ -243,8 +235,8 @@ def _check_grow_and_cut(inst, zeta, dim, sets, cols, target, reference):
         pivots = {}
         for i in members:
             pivots, grown = inst.grow(pivots, i)
-        verdict, ranks = inst.cut(members)
         S = K.chain(dim, [K.simplices[dim][i] for i in members])
+        verdict, ranks = inst.cut(S.support.bits)
         assert grown == verdict == reference(K, zeta, S), members
         assert ranks["size_S"] == len(members)
         assert ranks["rank_augmented_S"] == len(pivots)
@@ -273,7 +265,7 @@ def test_grow_and_cut_on_the_canonical_corpus(name):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_random_complexes, st.integers(0, 2**30))
+@given(random_complexes, st.integers(0, 2**30))
 def test_grow_and_cut_on_random_complexes(K, seed):
     _check_every_small_cut(K, seed)
 
@@ -329,19 +321,21 @@ def test_all_four_ranks_on_the_canonical_corpus(name, seed, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_random_complexes, st.integers(0, 2**30), st.data())
+@given(random_complexes, st.integers(0, 2**30), st.data())
 def test_all_four_ranks_on_random_complexes(K, seed, data):
     _check_all_four_ranks(K, seed, data.draw)
 
 
 def test_only_the_fpt_search_transposes(torus, tetra, monkeypatch):
     """A one-shot cut test reads the columns a set masks and transposes no
-    matrix; an FPT solve transposes once, for the rows its search grows."""
+    matrix, nor does a cocycle test; an FPT solve transposes once, for the
+    rows its search grows."""
+    K, zeta = torus
+    T, xi = tetra
+    cochains = [solve_ths_surface(K, zeta).solution, K.chain(1, [e for e in K.simplices[1] if 0 in e])]
     transposed = []
     rows = GF2Matrix.rows
     monkeypatch.setattr(GF2Matrix, "rows", lambda M: transposed.append(M.nrows) or rows(M))
-    K, zeta = torus
-    T, xi = tetra
     one_shot = {
         "is_ths_feasible": lambda: is_ths_feasible(K, zeta, K.chain(1, K.simplices[1][:4])),
         "is_bnt_feasible": lambda: is_bnt_feasible(T, xi, T.chain(2, T.simplices[2][:2])),
@@ -350,6 +344,8 @@ def test_only_the_fpt_search_transposes(torus, tetra, monkeypatch):
         "solve_bnt_greedy": lambda: solve_bnt_greedy(T, xi),
         "solve_global_bnt": lambda: solve_global_bnt(T, 1, seed=1),
         "solve_ths_surface": lambda: solve_ths_surface(K, zeta),
+        "classify_cocycle": lambda: [classify_cocycle(K, eta) for eta in cochains],
+        "is_connected_cocycle": lambda: [is_connected_cocycle(K, eta) for eta in cochains],
     }
     for name, call in one_shot.items():
         call()

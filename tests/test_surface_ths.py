@@ -2,11 +2,15 @@
 the dual graph."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from z2cut.canonical import gen_canonical
-from z2cut.complexes import build_complex
+from conftest import random_complexes
+from z2cut.canonical import CANONICAL_NAMES, gen_canonical
+from z2cut.complexes import boundary_matrix, build_complex
 from z2cut.errors import InputError
 from z2cut.feasibility import is_ths_feasible
+from z2cut.gf2 import GF2Matrix, in_colspace, kernel_basis
 from z2cut.homology import homology_basis, min_cohomology_basis
 from z2cut.io_cli import emit_chain, emit_complex, main
 from z2cut.oracle import brute_ths
@@ -76,6 +80,45 @@ def test_classify_cocycle(torus):
     # a vertex coboundary is a trivial cocycle
     star = [e for e in K.simplices[1] if 0 in e]
     assert classify_cocycle(K, K.chain(1, star)) == "trivial-cocycle"
+
+
+def _classify_by_transposes(K, eta):
+    """classify_cocycle with δ_1 and δ_0 built as the transposes of ∂_2 and ∂_1."""
+    delta1 = GF2Matrix(K.n(2), boundary_matrix(K, 2).rows())
+    delta0 = GF2Matrix(K.n(1), boundary_matrix(K, 1).rows())
+    if delta1.matvec(eta.support).bits:
+        return "not-cocycle"
+    if in_colspace(delta0, eta.support):
+        return "trivial-cocycle"
+    return "nontrivial-cocycle"
+
+
+def _check_classify(K, draw):
+    """A drawn 1-cochain, and a drawn sum of a cocycle-space basis (ker δ_1),
+    classified both ways."""
+    cocycles = kernel_basis(GF2Matrix(K.n(2), boundary_matrix(K, 2).rows())).cols
+    combo = draw(st.integers(0, (1 << len(cocycles)) - 1), label="cocycle")
+    bits = 0
+    for i, z in enumerate(cocycles):
+        if combo >> i & 1:
+            bits ^= z
+    for eta in (K.chain_from_bits(1, draw(st.integers(0, (1 << K.n(1)) - 1), label="cochain")),
+                K.chain_from_bits(1, bits)):
+        assert classify_cocycle(K, eta) == _classify_by_transposes(K, eta), eta
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_classify_cocycle_matches_transposes_on_the_canonical_corpus(name, data):
+    K, _ = gen_canonical(name, {"g": 2} if name == "genus-g" else None)
+    _check_classify(K, data.draw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_complexes, st.data())
+def test_classify_cocycle_matches_transposes_on_random_complexes(K, data):
+    _check_classify(K, data.draw)
 
 
 def test_weighted_instance_prefers_cheap_edges(torus):
