@@ -25,7 +25,8 @@ Each rank is the pivot count after inserting the columns, masked to S,
 into one ``gf2`` pivot dict; a cut test then reduces the masked target
 against it, and S is a cut iff a residue is left.  Only a search that
 grows its sets one member at a time transposes (:meth:`CutInstance.grow`):
-it keeps each set's pivot dict of rows and inserts one row per member.
+it keeps one pivot dict of rows, inserts one row per member added and
+deletes that row's key when the member is dropped.
 """
 
 from __future__ import annotations
@@ -143,25 +144,26 @@ class CutInstance:
         rank = len(pivots)
         return verdict, {"size_S": mask.bit_count(), "rank_S": rank, "rank_augmented_S": rank + verdict}
 
-    def grow(self, pivots: Pivots, i: int) -> Tuple[Pivots, bool]:
-        """The pivot dict of S + {i} from that of S (left as it is), and
-        whether S + {i} is a cut.
+    def grow(self, pivots: Pivots, i: int) -> int:
+        """Make the pivot dict of S that of S + {i}, in place, and return
+        the key it stored, or -1 when row i is in the span of S's rows.
 
-        Row i of [M | target] is inserted into a copy, so a search never
-        re-inserts the rows it already holds; ``grow({}, i)`` starts {i}.
-        The rows are built on the first call, mirrored: the target is bit 0
-        and column j of the w columns bit w - j, so a row is keyed by its
-        first column (with the columns in place, the rows of the seed-1
-        ``fpt`` benchmark ops took 42% more xor steps).  S is a cut iff
-        key 0 is present: e_0 is in the row space.
+        Row i of [M | target] is inserted with ``gf2._insert``, which adds
+        at most one key and changes no other, so deleting the returned key
+        gives S's dict back: a search that adds and drops one member at a
+        time keeps one dict and never re-inserts the rows it holds.
+        ``grow({}, i)`` starts {i}.  The rows are built on the first call,
+        mirrored: the target is bit 0 and column j of the w columns bit
+        w - j, so a row is keyed by its first column (with the columns in
+        place, the rows of the seed-1 ``fpt`` benchmark ops took 42% more
+        xor steps).  S is a cut iff key 0 is present: e_0 is in the row
+        space.
         """
         rows = self._rows
         if rows is None:
             mirrored = GF2Matrix(self._target.length, self._cols[::-1]).rows()
             rows = self._rows = [row << 1 | self._target.get(k) for k, row in enumerate(mirrored)]
-        pivots = dict(pivots)
-        _insert(pivots, rows[i])
-        return pivots, 0 in pivots
+        return _insert(pivots, rows[i])[0].bit_length() - 1
 
     def global_ths(self, mask: int) -> Tuple[bool, Dict[str, int]]:
         """Does H_r(K_S) -> H_r(K) miss a class: rank P_S Z_r > rank P_S ∂_{r+1}."""

@@ -308,7 +308,8 @@ def _cmd_ths_fpt(args, report) -> int:
     config = FPTConfig(k=args.k)
     sol = solve_ths_fpt(K, zeta, config)
     code = _print_solution(K, sol, report)
-    print(f"candidates {config.stats.get('candidates', 0)}")
+    print(f"candidates {config.stats['candidates']}")
+    print(f"pruned {config.stats['pruned']}")
     report.data["output"]["stats"] = dict(config.stats)
     return code
 

@@ -5,20 +5,19 @@ in the dual graph, so it suffices to compute a minimum-weight cocycle
 basis (``homology.min_cohomology_basis``, a shortest-cycle greedy on the
 dual graph) and pick the lightest element with odd pairing against the
 input cycle; one cut test certifies it.  The cocycle tests transpose
-nothing: eta is a cocycle iff it vanishes on every column of ∂_2, and a
-cocycle is a coboundary iff it vanishes on a ker ∂_1 basis, since
-im δ_0 = (ker ∂_1)^⊥ over GF(2).
+and eliminate nothing: eta is a cocycle iff it vanishes on every column
+of ∂_2, and it is a coboundary δf iff labelling the vertices along the
+1-skeleton with f(b) = f(a) + eta(ab) meets no conflict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .complexes import Chain, Complex, boundary_matrix, dual_graph, evaluate
 from .errors import InputError, InternalError
 from .feasibility import _THS_METHOD, CutInstance, FeasibilityReport, _report
-from .gf2 import kernel_basis
 from .homology import min_cohomology_basis
 
 __all__ = [
@@ -72,13 +71,48 @@ def is_connected_cocycle(K: Complex, eta: Chain) -> bool:
     return seen == nodes
 
 
+def _is_coboundary(K: Complex, eta: Chain) -> bool:
+    """Is the 1-cochain eta = δf for a 0-cochain f?  A search labels each
+    component of the 1-skeleton from f = 0 at one vertex, with
+    f(b) = f(a) + eta(ab) along each edge ab, and eta is a coboundary iff
+    no edge meets a conflict.  With the window floor at 1, ∂_1 and so δ_0
+    are the zero map, and only eta = 0 is one."""
+    if K.lo == 1:
+        return eta.support.bits == 0
+    bits = eta.support.bits
+    adj: Dict[int, List[Tuple[int, int]]] = {}
+    for i, (a, b) in enumerate(K.simplices.get(1, ())):
+        x = bits >> i & 1
+        adj.setdefault(a, []).append((b, x))
+        adj.setdefault(b, []).append((a, x))
+    f: Dict[int, int] = {}
+    for root in adj:
+        if root in f:
+            continue
+        f[root] = 0
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for b, x in adj[a]:
+                want = f[a] ^ x
+                got = f.get(b)
+                if got is None:
+                    f[b] = want
+                    stack.append(b)
+                elif got != want:
+                    return False
+    return True
+
+
 def classify_cocycle(K: Complex, eta: Chain) -> str:
     """One of 'not-cocycle', 'trivial-cocycle', 'nontrivial-cocycle'."""
     if eta.dimension != 1:
         raise InputError("classification is for 1-cochains")
+    if K.lo > 1:
+        raise InputError(f"dimension 1 outside window [{K.lo},{K.hi}]")
     if not _pairs_evenly(K, eta, boundary_matrix(K, 2).cols):
         return "not-cocycle"
-    if _pairs_evenly(K, eta, kernel_basis(boundary_matrix(K, 1)).cols):
+    if _is_coboundary(K, eta):
         return "trivial-cocycle"
     return "nontrivial-cocycle"
 

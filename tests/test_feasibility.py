@@ -227,20 +227,30 @@ def _projected_ranks(cols, target, S):
 
 
 def _check_grow_and_cut(inst, zeta, dim, sets, cols, target, reference):
-    """Grow each set from {} one member at a time; the verdict must match
-    ``cut`` and the oracle reference, and the ranks a column elimination
-    of the projected matrix M (∂ or ker ∂) and target (zeta or x0)."""
+    """Grow each set in one pivot dict from {}, one member at a time; the
+    verdict must match ``cut`` and the oracle reference, and the ranks a
+    column elimination of the projected matrix M (∂ or ker ∂) and target
+    (zeta or x0).  Deleting the returned keys in reverse order gives back
+    each smaller set's dict, down to {}."""
     K = inst.K
     for members in sets:
         pivots = {}
+        before, keys = [], []
         for i in members:
-            pivots, grown = inst.grow(pivots, i)
+            before.append(dict(pivots))
+            keys.append(inst.grow(pivots, i))
+        grown = 0 in pivots
         S = K.chain(dim, [K.simplices[dim][i] for i in members])
         verdict, ranks = inst.cut(S.support.bits)
         assert grown == verdict == reference(K, zeta, S), members
         assert ranks["size_S"] == len(members)
         assert ranks["rank_augmented_S"] == len(pivots)
         assert (ranks["rank_S"], ranks["rank_augmented_S"]) == _projected_ranks(cols, target, members), members
+        for key, dict_before in zip(reversed(keys), reversed(before)):
+            if key >= 0:
+                del pivots[key]
+            assert pivots == dict_before, members
+        assert pivots == {}
 
 
 def _check_every_small_cut(K, seed):

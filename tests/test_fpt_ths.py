@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex
-from z2cut.canonical import gen_canonical
+from conftest import random_complex, random_complexes
+from z2cut.canonical import CANONICAL_NAMES, gen_canonical
 from z2cut.complexes import build_complex, r_adjacency
 from z2cut.errors import InputError
-from z2cut.feasibility import is_ths_feasible
+from z2cut.feasibility import CutInstance, is_ths_feasible
 from z2cut.fpt_ths import FPTConfig, enumerate_connected_sets, solve_ths_fpt
 from z2cut.gf2 import GF2Vector
 from z2cut.global_rand import random_nontrivial_cycle
@@ -117,8 +117,11 @@ def test_candidate_envelope(torus):
     adj = r_adjacency(K, 1)
     delta = max(len(v) for v in adj.values())
     assert cfg.stats["max_per_center"] <= comb(k + k * delta, k)
-    # each connected set is enumerated once, from its least member
-    assert cfg.stats["candidates"] == len(_brute_connected_sets(adj, k))
+    # the walk without the distance bound enumerates each connected set
+    # once, from its least member; the solver's bound skips some of them
+    every = sum(len(enumerate_connected_sets(adj, v, k)) for v in adj)
+    assert every == len(_brute_connected_sets(adj, k))
+    assert cfg.stats["candidates"] <= every and cfg.stats["pruned"] > 0
 
 
 def _classes(K):
@@ -184,3 +187,56 @@ def test_pruned_search_visits_at_most_every_connected_set(torus):
         cfg = FPTConfig(k=k)
         assert solve_ths_fpt(K, zeta, cfg) is not None
         assert cfg.stats["candidates"] <= len(_brute_connected_sets(r_adjacency(K, zeta.dimension), k))
+
+
+def _reference(K, zeta, k):
+    """The answer and the improving-cut count of testing every connected
+    set of size <= k with ``CutInstance.cut``, from each center in turn in
+    the order of ``enumerate_connected_sets``: the lexicographically least
+    (size, sorted indices) cut as a chain or None, and how often the best
+    so far improved."""
+    inst = CutInstance.for_ths(K, zeta)
+    G = r_adjacency(K, zeta.dimension)
+    best, improved = None, 0
+    for v in G:
+        for S in enumerate_connected_sets(G, v, k):
+            key = (len(S), sorted(S))
+            if (best is None or key < best) and inst.cut(sum(1 << i for i in S))[0]:
+                best, improved = key, improved + 1
+    if best is None:
+        return None, improved
+    return K.chain_from_bits(zeta.dimension, sum(1 << i for i in best[1])), improved
+
+
+def _check_against_reference(K, seed):
+    """In each dimension of K with a class to cut, a drawn class at
+    k = opt - 1, opt and opt + 1: the solver's chain and its ``feasible``
+    count equal the reference's."""
+    for r in range(K.lo, K.hi + 1):
+        if not betti(K, r):
+            continue
+        zeta = random_nontrivial_cycle(K, r, seed)
+        opt = next(k for k in range(1, K.n(r) + 1) if _reference(K, zeta, k)[0] is not None)
+        for k in (opt - 1, opt, opt + 1):
+            if k < 1:
+                continue
+            cfg = FPTConfig(k=k)
+            sol = solve_ths_fpt(K, zeta, cfg)
+            ref, improved = _reference(K, zeta, k)
+            assert (sol is None) == (ref is None), (r, k)
+            assert sol is None or sol.support.bits == ref.support.bits, (r, k)
+            assert cfg.stats["feasible"] == improved, (r, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_complexes, st.integers(0, 2**30))
+def test_solver_matches_every_set_reference_on_random_complexes(K, seed):
+    _check_against_reference(K, seed)
+
+
+@pytest.mark.parametrize("name", CANONICAL_NAMES)
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2**30))
+def test_solver_matches_every_set_reference_on_the_canonical_corpus(name, seed):
+    K, _ = gen_canonical(name, {"g": 2} if name == "genus-g" else None)
+    _check_against_reference(K, seed)

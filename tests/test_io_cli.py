@@ -235,6 +235,20 @@ def test_cli_bnt_greedy_on_the_k3_gadget(tmp_path):
     assert len(sol) > 0 and restricted_solve_bnt(K, zeta, sol)
 
 
+def test_cli_ths_fpt_prints_its_stats(tmp_path, capsys):
+    scx, chn, rep = (str(tmp_path / name) for name in ("t.scx", "z.chn", "r.json"))
+    assert main(["gen", "csaszar-torus", "--out", scx, "--chain-out", chn]) == 0
+    capsys.readouterr()
+    assert main(["ths-fpt", "--complex", scx, "--cycle", chn, "--k", "6", "--json", rep]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    stats = json.load(open(rep))["output"]["stats"]
+    assert lines[:7] == ["solution size 6", "0 1", "0 3", "0 5", "2 3", "2 5", "4 5"]
+    assert lines[7:] == [f"candidates {stats['candidates']}", f"pruned {stats['pruned']}"]
+    assert set(stats) == {"candidates", "max_per_center", "feasible", "pruned"} and stats["pruned"] > 0
+    assert main(["ths-fpt", "--complex", scx, "--cycle", chn, "--k", "5"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "no solution"
+
+
 def test_cli_closed_stdout_exits_141_quietly(tmp_path):
     """A reader that goes away (``| head``) gets the SIGPIPE exit status and
     no traceback; the --json report still records the run."""

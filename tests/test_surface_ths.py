@@ -82,6 +82,21 @@ def test_classify_cocycle(torus):
     assert classify_cocycle(K, K.chain(1, star)) == "trivial-cocycle"
 
 
+def test_classify_cocycle_at_window_floor_one():
+    # ∂_1 is the zero map at the window floor, so every 1-cocycle but 0
+    # is nontrivial, even a vertex star, which bounds with vertices present
+    tris = [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
+    floor0, floor1 = build_complex(tris, (0, 2)), build_complex(tris, (1, 2))
+    star = [e for e in floor1.simplices[1] if 0 in e]
+    assert classify_cocycle(floor0, floor0.chain(1, star)) == "trivial-cocycle"
+    assert classify_cocycle(floor1, floor1.chain(1, star)) == "nontrivial-cocycle"
+    assert classify_cocycle(floor1, floor1.chain(1, [])) == "trivial-cocycle"
+    assert classify_cocycle(floor1, floor1.chain(1, [(0, 1)])) == "not-cocycle"
+    assert classify_cocycle(floor0, floor0.chain(1, [])) == "trivial-cocycle"
+    with pytest.raises(InputError):
+        classify_cocycle(build_complex(tris, (2, 2)), floor1.chain(1, []))
+
+
 def _classify_by_transposes(K, eta):
     """classify_cocycle with δ_1 and δ_0 built as the transposes of ∂_2 and ∂_1."""
     delta1 = GF2Matrix(K.n(2), boundary_matrix(K, 2).rows())
