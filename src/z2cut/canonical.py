@@ -36,7 +36,7 @@ def _octa() -> Tuple[Complex, Chain]:
     for pole in (4, 5):
         for i in range(4):
             tris.append(tuple(sorted((i, (i + 1) % 4, pole))))
-    K = build_complex(sorted(tris), (0, 2))
+    K = build_complex(tris, (0, 2))
     return K, K.chain(1, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
@@ -79,7 +79,7 @@ def _genus(g: int) -> Tuple[Complex, Chain]:
                 continue
             tris.append(tuple(sorted(relabel[v] for v in t)))
         prev_out = relabel
-    K = build_complex(sorted(tris), (0, 2))
+    K = build_complex(tris, (0, 2))
     return K, K.chain(1, [(0, 1), (0, 2), (1, 2)])
 
 
@@ -89,7 +89,7 @@ def _annulus() -> Tuple[Complex, Chain]:
         a, b = i, (i + 1) % 3
         tris.append(tuple(sorted((a, b, b + 3))))
         tris.append(tuple(sorted((a, a + 3, b + 3))))
-    K = build_complex(sorted(tris), (0, 2))
+    K = build_complex(tris, (0, 2))
     return K, K.chain(1, [(0, 1), (0, 2), (1, 2)])
 
 
@@ -114,7 +114,7 @@ def _planar_holes() -> Tuple[Complex, Chain]:
         (2, 3, 8),
         (0, 2, 3),
     ]
-    K = build_complex(sorted(tris), (0, 2))
+    K = build_complex(tris, (0, 2))
     return K, K.chain(1, [(0, 1), (0, 2), (1, 2)])
 
 

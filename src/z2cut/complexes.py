@@ -5,7 +5,8 @@ window [lo, hi]; that is all degree-r homology needs (window [r-1, r+1])
 and it keeps the hardness-gadget complexes, whose full face posets are
 exponential, at desk scale.  Simplices are sorted vertex tuples; within
 each dimension indices follow lexicographic vertex order, so chains and
-matrices serialize stably.
+matrices serialize stably.  A complex closes its input as it is built, top
+dimension down, so closure holds by construction and needs no check.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ class Chain:
 class Complex:
     """Immutable windowed simplicial complex.
 
-    Construct via :func:`build_complex`; the raw constructor expects
-    already-closed per-dimension simplex collections, in any order.
+    The constructor closes the given per-dimension simplex collections (in
+    any order) within the window; :func:`build_complex` checks its input.
     """
 
     __slots__ = ("lo", "hi", "simplices", "index", "weights")
@@ -88,19 +89,17 @@ class Complex:
         _check_window(lo, hi)
         self.lo = lo
         self.hi = hi
+        closed = {p: set(simplices.get(p, ())) for p in range(lo, hi + 1)}
+        for p in range(hi, lo, -1):
+            below = closed[p - 1]
+            for s in closed[p]:
+                below.update(combinations(s, p))
         self.simplices: Dict[int, Tuple[Simplex, ...]] = {}
         self.index: Dict[int, Dict[Simplex, int]] = {}
         for p in range(lo, hi + 1):
-            lst = sorted(set(simplices.get(p, ())))
+            lst = sorted(closed[p])
             self.simplices[p] = tuple(lst)
             self.index[p] = {s: i for i, s in enumerate(lst)}
-        # closure check within the window
-        for p in range(lo + 1, hi + 1):
-            below = self.index[p - 1]
-            for s in self.simplices[p]:
-                for f in combinations(s, p):
-                    if f not in below:
-                        raise InputError(f"missing face {f} of {s}")
         self.weights: Dict[Simplex, float] = {}
         if weights:
             if not (lo <= 1 <= hi):
@@ -166,13 +165,13 @@ def build_complex(
     tops = [_check_simplex(s) for s in top_simplices]
     if len(set(tops)) != len(tops):
         raise InputError("duplicate top simplices")
-    per_dim: Dict[int, set] = {p: set() for p in range(lo, hi + 1)}
+    per_dim: Dict[int, List[Simplex]] = {p: [] for p in range(lo, hi + 1)}
     for s in tops:
         d = len(s) - 1
         if d > hi:
             raise InputError(f"top simplex {s} above window [{lo},{hi}]")
-        for p in range(lo, d + 1):
-            per_dim[p].update(combinations(s, p + 1))
+        if d >= lo:
+            per_dim[d].append(s)
     return Complex(lo, hi, per_dim, weights)
 
 

@@ -4,9 +4,10 @@ For a k-colored graph G on |V| = r+1 vertices, the hitting-set gadget is an
 (r+1)-dimensional windowed complex whose small solutions for the input
 cycle pick one vertex per color and one edge per color pair; the
 boundary-nontrivialization gadget plays the same game one dimension down,
-gluing subdivided simplex boundaries along distinguished faces.  In both,
-"undesirable" simplices receive m-fold penalty structures that make them
-uneconomical inside small solutions.
+gluing subdivided simplex boundaries along distinguished faces (each copy of
+a face is subdivided onto the same anchor vertices).  In both, "undesirable"
+simplices receive m-fold penalty structures that make them uneconomical
+inside small solutions.
 """
 
 from __future__ import annotations
@@ -190,31 +191,27 @@ def gen_ths_gadget(G: ColoredGraph, m: int) -> GadgetInstance:
 # ------------------------------------------------------------- S-subdivision
 
 
-def _s_subdivide_sets(
-    ordered: Sequence[int], alloc_start: int
-) -> Tuple[Set[FrozenSet[int]], List[int]]:
+def _s_subdivide_sets(ordered: Sequence[int], new: Sequence[int]) -> List[Simplex]:
     """Iterated stellar subdivision of the simplex on ``ordered`` vertices.
 
-    ``ordered`` lists vertices in increasing rank; each of the 2(d+1) new
-    vertices (ids alloc_start, alloc_start+1, ...) outranks everything
-    before it, and each step cones off the simplex on the d+1 highest
-    ranks.  Returns (d-simplices, distinguished simplex as a rank-ordered
-    vertex list).
+    ``ordered`` lists vertices in increasing rank, and ``new`` the 2(d+1)
+    new vertices in increasing rank, each outranking everything before it;
+    each step cones off the simplex on the d+1 highest ranks, so the last
+    d+1 of ``new`` span the distinguished simplex.  Returns the d-simplices
+    as sorted tuples, ascending.
     """
     d = len(ordered) - 1
     order = list(ordered)
     simplices: Set[FrozenSet[int]] = {frozenset(order)}
-    for z in range(alloc_start, alloc_start + 2 * (d + 1)):
-        # built highest rank first: that fixes the iteration order of omega,
-        # hence of the returned set, hence the ids of penalty vertices
-        omega = frozenset(reversed(order[-(d + 1):]))
+    for z in new:
+        omega = frozenset(order[-(d + 1):])
         if omega not in simplices:
             raise InternalError("highest-ranked vertices do not span a simplex")
         simplices.remove(omega)
         for w in omega:
             simplices.add((omega - {w}) | {z})
         order.append(z)
-    return simplices, order[-(d + 1):]
+    return sorted(tuple(sorted(s)) for s in simplices)
 
 
 def s_subdivide(d: int, order: Optional[Sequence[int]] = None) -> Tuple[Complex, Simplex]:
@@ -225,9 +222,9 @@ def s_subdivide(d: int, order: Optional[Sequence[int]] = None) -> Tuple[Complex,
     ordered = list(order) if order is not None else list(range(d + 1))
     if len(set(ordered)) != d + 1:
         raise InputError("order must list d+1 distinct vertices")
-    simplices, dist = _s_subdivide_sets(ordered, max(ordered) + 1)
-    K = build_complex([tuple(sorted(s)) for s in sorted(simplices, key=sorted)], (0, d))
-    return K, tuple(sorted(dist))
+    new = range(max(ordered) + 1, max(ordered) + 1 + 2 * (d + 1))
+    K = build_complex(_s_subdivide_sets(ordered, new), (0, d))
+    return K, tuple(new[d + 1:])
 
 
 # ---------------------------------------------------------------- BNT gadget
@@ -261,8 +258,8 @@ def gen_bnt_gadget(G: ColoredGraph, m: int) -> GadgetInstance:
     Vset = frozenset(range(r + 1))
 
     legend: Dict[str, object] = {
-        "alpha": {},  # (i, v) -> glued simplex
-        "beta": {},  # (i, j, v, u) with i < j -> glued simplex
+        "alpha": {},  # (i, v) -> shared distinguished simplex
+        "beta": {},  # (i, j, v, u) with i < j -> shared distinguished simplex
         "sigma_chain": {},  # i -> r-simplices of the subdivided sigma boundary
         "tau_chain": {},  # (i, j, v) -> r-simplices of the tau sphere
         "undesirable": [],
@@ -270,31 +267,29 @@ def gen_bnt_gadget(G: ColoredGraph, m: int) -> GadgetInstance:
         "m": m,
     }
     all_r: List[Simplex] = []
-    copies = 0  # subdivisions made; each role beyond its first one is glued
+    copies = 0  # subdivisions made; each role beyond its first one shares its anchor
 
     def run_gadget(
         pre_adm: Dict[Tuple, List[int]],
         w_facets: List[Simplex],
         chain_slot: Tuple[str, object],
     ) -> None:
-        """Subdivide each pre-admissible facet (given in rank order), glue its
-        distinguished simplex onto the first copy of the same role, and
-        record penalty structures for everything non-distinguished."""
+        """Subdivide each pre-admissible facet (given in rank order) onto n
+        fresh inner ids and its role's anchor, n more ids that the role's
+        first copy takes; record penalties for everything but the anchor."""
         nonlocal next_free, copies
         members: List[Simplex] = []
         undes: List[Simplex] = []
         for (kind, *role), facet_order in pre_adm.items():
-            simplices, dist = _s_subdivide_sets(facet_order, next_free)
-            next_free += 2 * len(facet_order)
+            n = len(facet_order)
+            inner = list(range(next_free, next_free + n))
+            next_free += n
+            anchor = legend[kind].get(tuple(role))
+            if anchor is None:
+                anchor = legend[kind][tuple(role)] = tuple(range(next_free, next_free + n))
+                next_free += n
             copies += 1
-            # both lists hold fresh ids in increasing order, so rank order
-            # is id order and the first copy keeps its own vertices
-            anchor = legend[kind].setdefault(tuple(role), tuple(dist))
-            glue = dict(zip(dist, anchor))
-            for s in simplices:
-                t = tuple(sorted(glue.get(x, x) for x in s))
-                if len(set(t)) != len(t):
-                    raise InternalError("identification collapsed a simplex")
+            for t in _s_subdivide_sets(facet_order, inner + list(anchor)):
                 members.append(t)
                 if t != anchor:
                     undes.append(t)
@@ -360,7 +355,7 @@ def gen_bnt_gadget(G: ColoredGraph, m: int) -> GadgetInstance:
     legend["undesirable"].sort()
 
     window = (max(r - 2, 0), r)
-    K = build_complex(sorted(set(all_r)), window)
+    K = build_complex(set(all_r), window)
     xi = K.chain(r - 1, [tuple(sorted(Vset - {x})) for x in Vset])
     parameter = comb(k + 1, 2)
     if m < parameter + 1:
@@ -398,7 +393,7 @@ def bnt_clique_solution(inst: GadgetInstance, clique: Sequence[int], G: ColoredG
     return inst.complex.chain(r, members)
 
 
-def verify_gadget_answer(G: ColoredGraph, m: int, solver_result: Optional[Chain]) -> bool:
+def verify_gadget_answer(G: ColoredGraph, solver_result: Optional[Chain]) -> bool:
     """True iff the solver's small-solution verdict matches the exhaustive
     clique decision (the gadget mimics the graph)."""
     has = has_multicolored_clique(G) is not None

@@ -215,12 +215,10 @@ def _horton_greedy(
     raise InternalError("candidate cycles failed to span the annotations")
 
 
-def min_homology_basis(K: Complex, p: int = 1) -> List[WeightedChain]:
+def min_homology_basis(K: Complex) -> List[WeightedChain]:
     """Minimum-weight H_1 basis, ascending by weight: the greedy on the
     1-skeleton, each edge annotated by the homology coordinates of its
     fundamental cycle in a BFS spanning tree (0 on tree edges)."""
-    if p != 1:
-        raise InputError("min_homology_basis supports dimension 1 only")
     if not (K.lo <= 0 and 1 <= K.hi):
         raise InputError("window must cover dimensions 0 and 1")
     n = K.n(0)

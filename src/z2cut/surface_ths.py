@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .complexes import Chain, Complex, boundary_matrix, dual_graph, evaluate
+from .complexes import Chain, Complex, boundary_matrix, evaluate
 from .errors import InputError, InternalError
 from .feasibility import _THS_METHOD, CutInstance, FeasibilityReport, _report
+from .gf2 import _bit_indices
 from .homology import min_cohomology_basis
 
 __all__ = [
@@ -47,28 +48,33 @@ def _pairs_evenly(K: Complex, eta: Chain, chains: List[int]) -> bool:
 
 
 def is_connected_cocycle(K: Complex, eta: Chain) -> bool:
-    """A nonempty 1-cocycle whose edges induce a connected dual subgraph."""
+    """A nonempty 1-cocycle whose edges induce a connected dual subgraph.
+
+    The triangles of each edge are read from the ∂_2 columns of the cocycle
+    test, so only the edges of eta must lie in exactly two triangles
+    (InputError otherwise): a pinched surface is answered, not refused."""
     if eta.dimension != 1:
         raise InputError("connected cocycles live in dimension 1")
-    if eta.support.bits == 0 or not _pairs_evenly(K, eta, boundary_matrix(K, 2).cols):
+    cols = boundary_matrix(K, 2).cols
+    bits = eta.support.bits
+    if bits == 0 or not _pairs_evenly(K, eta, cols):
         return False
-    nodes: set = set()
-    adj: Dict[int, set] = {}
-    for a, b, ei in dual_graph(K):
-        if eta.support.get(ei):
-            nodes.update((a, b))
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-    start = next(iter(nodes))
-    seen = {start}
-    frontier = [start]
+    ends: Dict[int, List[int]] = {ei: [] for ei in _bit_indices(bits)}
+    for ti, col in enumerate(cols):
+        for ei in _bit_indices(col & bits):
+            ends[ei].append(ti)
+    for ei, ts in ends.items():
+        if len(ts) != 2:
+            raise InputError(f"edge {K.simplices[1][ei]} of eta lies in {len(ts)} triangles, not 2")
+    # grow from one edge of eta across the triangles it shares with others
+    start = next(iter(ends))
+    reached, frontier = 1 << start, [start]
     while frontier:
-        u = frontier.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen == nodes
+        for ti in ends[frontier.pop()]:
+            new = cols[ti] & bits & ~reached
+            reached |= new
+            frontier.extend(_bit_indices(new))
+    return reached == bits
 
 
 def _is_coboundary(K: Complex, eta: Chain) -> bool:

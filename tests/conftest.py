@@ -36,6 +36,17 @@ def random_complex(seed, nv=6, ntri=5, window=(0, 2)):
     return build_complex(tops, window)
 
 
+def grid_torus_triangles(n):
+    """The triangles of the n x n grid torus, squares cut by a diagonal."""
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b = i * n + j, ((i + 1) % n) * n + j
+            c, d = i * n + (j + 1) % n, ((i + 1) % n) * n + (j + 1) % n
+            tris += [tuple(sorted((a, b, d))), tuple(sorted((a, c, d)))]
+    return sorted(tris)
+
+
 _TRIANGLES = list(combinations(range(6), 3))
 
 # hypothesis strategy: up to 10 triangles on 6 vertices, window [0,2] or [1,2]

@@ -484,6 +484,6 @@ def test_criterion_12_algebraic_invariants():
     for K in small:
         if K.n(1) > 25:
             continue
-        got = sorted(wc.weight for wc in min_homology_basis(K, 1))
+        got = sorted(wc.weight for wc in min_homology_basis(K))
         ok &= got == _brute_min_basis_weights(K)
     _verdict(12, "boundary squares to zero; rank-nullity; minimum bases", ok)

@@ -1,6 +1,7 @@
 """Windowed complexes, boundary maps, and surface predicates."""
 
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_complex
 from z2cut.complexes import (
+    Complex,
     boundary_matrix,
     build_complex,
     dual_graph,
@@ -24,6 +26,38 @@ def test_build_generates_faces_in_window():
     assert K.n(0) == 3 and K.n(1) == 3 and K.n(2) == 1
     K = build_complex([(0, 1, 2)], (1, 2))
     assert 0 not in K.simplices and K.n(1) == 3
+
+
+_TOPS = [s for d in range(4) for s in combinations(range(6), d + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.sampled_from(_TOPS), max_size=8), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_build_is_the_closure_of_each_top(tops, a, b, data):
+    lo, hi = min(a, b), max(a, b)
+    tops = [s for s in tops if len(s) - 1 <= hi]  # tops below the floor stay
+    K = build_complex(tops, (lo, hi))
+    closure = {p: set() for p in range(lo, hi + 1)}
+    for s in tops:
+        for p in range(lo, len(s)):
+            closure[p].update(combinations(s, p + 1))
+    assert K.simplices == {p: tuple(sorted(closure[p])) for p in range(lo, hi + 1)}
+    # what survives remove_closure is closed, with no faces put back
+    p = data.draw(st.integers(lo, hi))
+    S = K.chain_from_bits(p, data.draw(st.integers(0, (1 << K.n(p)) - 1)))
+    KS, _ = remove_closure(K, S)
+    for q in range(lo + 1, hi + 1):
+        assert all(f in KS.index[q - 1] for s in KS.simplices[q] for f in combinations(s, q))
+    assert all(set(KS.simplices[q]) <= set(K.simplices[q]) for q in range(lo, hi + 1))
+    assert not set(KS.simplices[p]) & set(K.members(S))
+
+
+def test_constructor_closes_its_input():
+    assert Complex(0, 2, {2: [(0, 1, 2)]}) == build_complex([(0, 1, 2)], (0, 2))
+    assert Complex(1, 2, {2: [(0, 1, 2)], 1: [(3, 4)]}) == build_complex([(0, 1, 2), (3, 4)], (1, 2))
+    # a one-dimension window takes no facets
+    K = Complex(1, 1, {1: [(1, 2), (0, 1)], 2: [(0, 1, 2)]})
+    assert K.simplices == {1: ((0, 1), (1, 2))}
 
 
 def test_build_rejects_bad_input():

@@ -85,8 +85,8 @@ def test_ths_gadget_forward_and_reverse():
     inst0 = gen_ths_gadget(NO_EDGE, 6)
     none = solve_ths_fpt(inst0.complex, inst0.input_chain, FPTConfig(k=inst0.parameter))
     assert none is None
-    assert verify_gadget_answer(EDGE, 6, best)
-    assert verify_gadget_answer(NO_EDGE, 6, none)
+    assert verify_gadget_answer(EDGE, best)
+    assert verify_gadget_answer(NO_EDGE, none)
 
 
 def test_ths_gadget_warns_on_small_m():
@@ -169,10 +169,19 @@ PINNED_GRAPHS = {
 }
 
 
+@pytest.mark.parametrize("graph", sorted(PINNED_GRAPHS))
+def test_bnt_gadget_vertex_ids_are_contiguous(graph):
+    """Every copy of a distinguished simplex is subdivided onto the ids of
+    its first copy, so no id is allocated and then left unused."""
+    K = gen_bnt_gadget(PINNED_GRAPHS[graph], 8).complex
+    verts = {v for s in K.simplices[K.lo] for v in s}
+    assert verts == set(range(len(verts)))
+
+
 @pytest.mark.parametrize("kind, graph, digest", [
-    ("gadget-bnt", "k3", "6f2f40e45a8548d9"),
-    ("gadget-bnt", "k3-V5", "6683534ac00a24f6"),
-    ("gadget-bnt", "k2-V4", "735a3a71526c62c5"),
+    ("gadget-bnt", "k3", "6b866725de720e11"),
+    ("gadget-bnt", "k3-V5", "ab29c4fb5f114f42"),
+    ("gadget-bnt", "k2-V4", "4febe2a568e0d04f"),
     ("gadget-ths", "k3", "415aa72aba349c95"),
     ("gadget-ths", "k3-V5", "9642777e314cca1a"),
     ("gadget-ths", "k2-V4", "44c6c014fc96864a"),

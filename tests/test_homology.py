@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex
+from conftest import grid_torus_triangles, random_complex
 from z2cut.canonical import gen_canonical
 from z2cut.complexes import boundary_matrix, build_complex
 from z2cut.errors import InputError
@@ -106,7 +106,7 @@ def _independent(bits_list):
 
 def test_min_homology_basis_torus(torus):
     K, _ = torus
-    basis = min_homology_basis(K, 1)
+    basis = min_homology_basis(K)
     assert [wc.weight for wc in basis] == [3, 3]
     hb = homology_basis(K, 1)
     coords = [hb.coordinates(wc.chain).bits for wc in basis]
@@ -120,7 +120,7 @@ def test_min_homology_basis_matches_brute():
         (0, 1),
         {(0, 2): 3},
     )
-    basis = min_homology_basis(K, 1)
+    basis = min_homology_basis(K)
     assert sorted(wc.weight for wc in basis) == _brute_min_basis_weights(K)
 
 
@@ -139,35 +139,24 @@ def test_min_homology_basis_random_graphs():
                 edges.add((a, b))
             weights = {e: rng.randint(1, top) for e in edges}
             K = build_complex(sorted(edges), (0, 1), weights)
-            got = sorted(wc.weight for wc in min_homology_basis(K, 1))
+            got = sorted(wc.weight for wc in min_homology_basis(K))
             assert got == _brute_min_basis_weights(K), (top, trial)
 
 
 def test_min_homology_basis_rejects_disconnected():
     K = build_complex([(0, 1), (1, 2), (0, 2), (3, 4)], (0, 1))
     with pytest.raises(InputError, match="connected"):
-        min_homology_basis(K, 1)
-
-
-def _grid_torus_triangles(n):
-    """The triangles of the n x n grid torus, squares cut by a diagonal."""
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a, b = i * n + j, ((i + 1) % n) * n + j
-            c, d = i * n + (j + 1) % n, ((i + 1) % n) * n + (j + 1) % n
-            tris += [tuple(sorted((a, b, d))), tuple(sorted((a, c, d)))]
-    return sorted(tris)
+        min_homology_basis(K)
 
 
 def _grid_torus_edges(n):
-    return sorted({e for t in _grid_torus_triangles(n) for e in combinations(t, 2)})
+    return sorted({e for t in grid_torus_triangles(n) for e in combinations(t, 2)})
 
 
 def _weighted_grid_torus(n, seed):
     """n x n grid torus with seeded weights 1..9."""
     rng = random.Random(seed)
-    return build_complex(_grid_torus_triangles(n), (0, 2), {e: rng.randint(1, 9) for e in _grid_torus_edges(n)})
+    return build_complex(grid_torus_triangles(n), (0, 2), {e: rng.randint(1, 9) for e in _grid_torus_edges(n)})
 
 
 def _pairing(bits, hb):
@@ -242,7 +231,7 @@ def test_betti_random_complexes_euler():
 @given(st.lists(st.integers(1, 3), min_size=27, max_size=27))
 def test_min_cohomology_basis_matches_brute_on_tied_grids(ws):
     """Side-3 grid tori with weights 1..3, where most candidates tie."""
-    K = build_complex(_grid_torus_triangles(3), (0, 2), dict(zip(_grid_torus_edges(3), ws)))
+    K = build_complex(grid_torus_triangles(3), (0, 2), dict(zip(_grid_torus_edges(3), ws)))
     assert [wc.weight for wc in min_cohomology_basis(K)] == _brute_min_cocycle_weights(K)
 
 
@@ -273,7 +262,7 @@ def test_min_bases_pin_tie_break(torus):
     complexes = {
         "csaszar": torus[0],
         "genus2": gen_canonical("genus-g", {"g": 2})[0],
-        "unit-grid-4": build_complex(_grid_torus_triangles(4), (0, 2)),
+        "unit-grid-4": build_complex(grid_torus_triangles(4), (0, 2)),
         "weighted-grid-4-5": _weighted_grid_torus(4, 5),
     }
     for name, K in complexes.items():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complexes
+from conftest import grid_torus_triangles, random_complexes
 from z2cut.canonical import CANONICAL_NAMES, gen_canonical
-from z2cut.complexes import boundary_matrix, build_complex
+from z2cut.complexes import boundary_matrix, build_complex, dual_graph
 from z2cut.errors import InputError
 from z2cut.feasibility import is_ths_feasible
 from z2cut.gf2 import GF2Matrix, in_colspace, kernel_basis
@@ -147,3 +147,63 @@ def test_weighted_instance_prefers_cheap_edges(torus):
     zeta2 = K2.chain(1, K.members(zeta))
     res2 = solve_ths_surface(K2, zeta2)
     assert res2.weight == len(res0.solution)
+
+
+def _connected_on_dual_graph(K, eta):
+    """is_connected_cocycle over the dual graph of a closed surface."""
+    bits = eta.support.bits
+    if bits == 0 or any((bits & c).bit_count() & 1 for c in boundary_matrix(K, 2).cols):
+        return False
+    adj = {}
+    for a, b, ei in dual_graph(K):
+        if bits >> ei & 1:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+    start = next(iter(adj))
+    seen, frontier = {start}, [start]
+    while frontier:
+        for w in adj[frontier.pop()] - seen:
+            seen.add(w)
+            frontier.append(w)
+    return seen == set(adj)
+
+
+_SURFACES = {
+    **{name: gen_canonical(name)[0] for name in ("tetra-sphere", "octa-sphere", "csaszar-torus")},
+    "genus-2": gen_canonical("genus-g", {"g": 2})[0],
+    **{f"grid-{n}": build_complex(grid_torus_triangles(n), (0, 2)) for n in (3, 4, 6)},
+}
+_COCYCLES = {name: [wc.chain.support.bits for wc in min_cohomology_basis(K)] for name, K in _SURFACES.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_SURFACES)), st.data())
+def test_connected_cocycle_matches_the_dual_graph(name, data):
+    """On closed surfaces the ∂_2 reading agrees with the dual graph on
+    coboundaries, cohomology classes and arbitrary cochains."""
+    K = _SURFACES[name]
+    stars = [sum(1 << K.index[1][e] for e in K.simplices[1] if v in e) for (v,) in K.simplices[0]]
+    bits = 0
+    for c in data.draw(st.lists(st.sampled_from(stars + _COCYCLES[name]), max_size=4)):
+        bits ^= c
+    if data.draw(st.booleans()):
+        bits ^= data.draw(st.integers(0, (1 << K.n(1)) - 1))
+    eta = K.chain_from_bits(1, bits)
+    assert is_connected_cocycle(K, eta) == _connected_on_dual_graph(K, eta)
+
+
+def test_connected_cocycle_needs_two_triangles_per_edge(torus):
+    tri = build_complex([(0, 1, 2)], (0, 2))
+    with pytest.raises(InputError, match="1 triangles"):
+        is_connected_cocycle(tri, tri.chain(1, [(0, 1), (0, 2)]))
+    path = build_complex([(0, 1)], (0, 1))  # the window holds no triangles
+    with pytest.raises(InputError, match="0 triangles"):
+        is_connected_cocycle(path, path.chain(1, [(0, 1)]))
+    # two tori pinched at a vertex are no closed surface, but each edge of
+    # one torus's systole still lies in two triangles: answered, not refused
+    K, zeta = torus
+    tris = list(K.simplices[2])
+    shift = max(v for t in tris for v in t)
+    pinched = build_complex(tris + [tuple(v + shift for v in t) for t in tris], (0, 2))
+    eta = pinched.chain(1, K.members(solve_ths_surface(K, zeta).solution))
+    assert is_connected_cocycle(pinched, eta)
