@@ -11,21 +11,32 @@ annotations of their tree paths, so a candidate is ranked by its weight
 and its annotation without being built; only proper candidates, whose
 two tree paths leave the root by different edges, are kept, and a
 candidate's edge bitset is built only in the weight groups the greedy
-reaches.  For homology the graph is the 1-skeleton and an edge's
-annotation the homology coordinates of its fundamental cycle in a
-spanning tree.  For cohomology on a closed surface the graph is the dual
-graph, whose cycles are exactly the 1-cocycles, and a dual edge's
-annotation says which homology basis cycles hold its primal edge: the
-pairing, which vanishes exactly on coboundaries.
+reaches.
+
+The trees grow only as far as the picks need.  Each is a Dijkstra that
+settles its vertices in (distance, vertex) order, from a queue of one
+vertex list per distance, sorted when that level is reached.  All trees
+advance to a common radius that grows by half each round.  A proper
+candidate's key is at least twice the distance of either of its ends, so
+once every tree has settled all distances below L, each weight group of
+key below 2L is complete (less a relative 1e-9, for float rounding) and
+is taken in key order.  The greedy stops at its beta-th pick.
+
+For homology the graph is the 1-skeleton and an edge's annotation the
+homology coordinates of its fundamental cycle in a spanning tree.  For
+cohomology on a closed surface the graph is the dual graph, whose cycles
+are exactly the 1-cocycles, and a dual edge's annotation says which
+homology basis cycles hold its primal edge: the pairing, which vanishes
+exactly on coboundaries.  That basis is read off a tree-cotree
+decomposition, so no boundary map is built for it.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 from .complexes import Chain, Complex, boundary_matrix, dual_graph
 from .errors import InputError, InternalError
@@ -112,6 +123,80 @@ def homology_basis(K: Complex, p: int) -> HomologyBasis:
     return HomologyBasis(K, p, cycles, pivots)
 
 
+def _grow_tree(
+    root: int,
+    adj: List[List[Tuple[int, int]]],
+    tails: List[int],
+    weights: List[float],
+    ann: List[int],
+    parent: List[int],
+    cands: List[Tuple[float, int, int]],
+) -> Generator[float, float, None]:
+    """Dijkstra from root, run on demand.  next() settles distance 0 and
+    each radius R sent in settles every vertex at distance <= R; each
+    answer is the next distance in the queue, a lower bound on every
+    distance still unsettled (inf once none is left).
+
+    Settling u pushes (key, root, e) onto the heap cands for each edge e to
+    a vertex settled before u, so each edge is seen once, at its later end,
+    and is pushed if its candidate is kept: proper, with a nonzero
+    annotation.  The queue maps each tentative distance to a list of
+    vertices, with a heap of those distances.  A level's list is sorted when
+    it is popped, and a vertex that an absorbed weight (d + w == d) puts at
+    the same distance joins the rest of the list in id order.  So vertices
+    settle in (distance, vertex) order, as from one heap of (distance,
+    vertex) pairs, and every parent, label and key is the one a full
+    Dijkstra gives.  parent[v], the index of the tree edge into v, is final
+    once v is settled; tails[e] is the xor of the two ends of edge e.
+    """
+    n = len(adj)
+    inf = float("inf")
+    dist: List[float] = [inf] * n
+    dist[root] = 0
+    # lab[v] = the annotation of the tree path to v; branch[v] = its first
+    # edge, -2 at the root and -1 until v is settled
+    lab = [0] * n
+    branch = [-1] * n
+    buckets: Dict[float, List[int]] = {0: [root]}
+    levels: List[float] = [0]
+    limit: float = 0  # the first next() settles distance 0
+    while True:
+        while levels and levels[0] <= limit:
+            level = buckets.pop(heapq.heappop(levels))
+            level.sort()
+            for u in level:
+                if branch[u] != -1:  # a stale entry: u was settled closer
+                    continue
+                d = dist[u]
+                pe = parent[u]
+                if pe < 0:
+                    bu, lu = -2, 0
+                else:
+                    t = tails[pe] ^ u
+                    bu = pe if t == root else branch[t]
+                    lu = lab[t] ^ ann[pe]
+                branch[u], lab[u] = bu, lu
+                for v, ei in adj[u]:
+                    bv = branch[v]
+                    if bv == -1:
+                        nd = d + weights[ei]
+                        if nd < dist[v]:
+                            dist[v] = nd
+                            parent[v] = ei
+                            if nd == d:  # joins this level after u, in id order
+                                insort(level, v, level.index(u) + 1)
+                            elif nd in buckets:
+                                buckets[nd].append(v)
+                            else:
+                                buckets[nd] = [v]
+                                heapq.heappush(levels, nd)
+                    # tree edges and improper candidates share a branch,
+                    # except a root edge, whose annotation cancels
+                    elif bv != bu and lab[v] ^ lu ^ ann[ei]:
+                        heapq.heappush(cands, (dist[v] + d + weights[ei], root, ei))
+        limit = yield levels[0] if levels else inf
+
+
 def _horton_greedy(
     nverts: int,
     ends: List[Tuple[int, int]],
@@ -131,10 +216,20 @@ def _horton_greedy(
     two labels and one edge's.  A candidate is kept only if that is nonzero
     and the candidate is proper: its two tree paths leave the root by
     different edges (or one end is the root), so its key
-    dist + dist + weight is the cycle's exact weight.  Edge bitsets are
-    built from the kept parent arrays only in the weight groups the greedy
-    reaches; there equal cycles are merged and ordered by (weight, edge
-    indices).  Raises InputError unless the first tree spans the graph.
+    dist + dist + weight is the cycle's exact weight.
+
+    The trees grow on demand (:func:`_grow_tree`): each round advances every
+    tree to a radius R, which grows by half each round, and a tree emits a
+    candidate when the later end of its edge settles.  A proper candidate's
+    key is at least twice the distance of either end, so once every tree
+    has settled all distances below L, each candidate of key below 2L has
+    been emitted and its weight group is complete.  Int weights sum
+    exactly, at any size; with a float weight the sums round, so the bound
+    is taken a relative 1e-9 under 2L, far more than the few ulps rounding
+    can cost.  Complete groups are taken in key order; only there are edge
+    bitsets built from the parent arrays, equal cycles merged and ordered
+    by (weight, edge indices).  The trees stop growing at the beta-th pick.
+    Raises InputError unless the graph is connected.
     """
     if not nverts:
         raise InputError("complex must be connected; run per component")
@@ -144,83 +239,66 @@ def _horton_greedy(
         adj[b].append((a, ei))
     for nbrs in adj:
         nbrs.sort()
+    seen = [True] + [False] * (nverts - 1)
+    order = [0]
+    for u in order:
+        for v, _ in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                order.append(v)
+    if len(order) < nverts:
+        raise InputError("complex must be connected; run per component")
+    if beta == 0:
+        return []
 
-    inf = float("inf")
-    keys: List[Tuple[float, int, int]] = []
-    parents: List[List[int]] = []
-    for root in range(nverts):
-        # Dijkstra; parent[v] = index of the tree edge into v, lab[v] = the
-        # annotation of the tree path to v, branch[v] = its first edge
-        dist = [inf] * nverts
-        parent = [-1] * nverts
-        lab = [0] * nverts
-        branch = [-1] * nverts
-        settled = 0
-        dist[root] = 0
-        heap: List[Tuple[float, int]] = [(0, root)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:  # a stale entry: u was settled closer
-                continue
-            settled += 1
-            pe = parent[u]
-            if pe >= 0:
-                a, b = ends[pe]
-                t = a ^ b ^ u
-                lab[u] = lab[t] ^ ann[pe]
-                branch[u] = pe if t == root else branch[t]
-            for v, ei in adj[u]:
-                nd = d + weights[ei]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = ei
-                    heapq.heappush(heap, (nd, v))
-        if settled < nverts:
-            raise InputError("complex must be connected; run per component")
-        if beta == 0:
-            return []
-        parents.append(parent)
-        for ei, (a, b) in enumerate(ends):
-            # tree edges and improper candidates share a branch, except a
-            # root edge, whose annotation cancels
-            if branch[a] != branch[b] and lab[a] ^ lab[b] ^ ann[ei]:
-                keys.append((dist[a] + dist[b] + weights[ei], root, ei))
-    keys.sort()
-
+    exact = all(isinstance(w, int) for w in weights)
+    tails = [a ^ b for a, b in ends]
+    cands: List[Tuple[float, int, int]] = []  # (key, root, edge), a heap
+    parents = [[-1] * nverts for _ in range(nverts)]
+    trees = [_grow_tree(root, adj, tails, weights, ann, parents[root], cands) for root in range(nverts)]
+    nxt = [next(tree) for tree in trees]  # each tree's next level
     chosen: List[Tuple[int, float]] = []
     pivots: Pivots = {}
-    for _, same_weight in groupby(keys, key=itemgetter(0)):
-        group: Dict[int, int] = {}  # cycle bitset -> annotation
-        for _, root, ei in same_weight:
-            parent = parents[root]
-            cyc, x = 1 << ei, ann[ei]
-            for v in ends[ei]:
-                while v != root:
-                    pe = parent[v]
-                    cyc ^= 1 << pe
-                    x ^= ann[pe]
-                    a, b = ends[pe]
-                    v = a ^ b ^ v
-            group[cyc] = x
-        ranked = []
-        for cyc, x in group.items():
-            idx = _bit_indices(cyc)
-            ranked.append((sum(weights[i] for i in idx), idx, cyc, x))
-        ranked.sort()
-        for w, _, cyc, x in ranked:
-            if _insert(pivots, x)[0]:
-                chosen.append((cyc, w))
-                if len(chosen) == beta:
-                    return chosen
-    raise InternalError("candidate cycles failed to span the annotations")
+    radius: float = 0
+    while True:
+        low = min(nxt)
+        barrier = 2 * low if exact else 2 * low * (1 - 1e-9)
+        while cands and cands[0][0] < barrier:
+            key = cands[0][0]
+            group: Dict[int, int] = {}  # cycle bitset -> annotation
+            while cands and cands[0][0] == key:
+                _, root, ei = heapq.heappop(cands)
+                parent = parents[root]
+                cyc, x = 1 << ei, ann[ei]
+                for v in ends[ei]:
+                    while v != root:
+                        pe = parent[v]
+                        cyc ^= 1 << pe
+                        x ^= ann[pe]
+                        v = tails[pe] ^ v
+                group[cyc] = x
+            ranked = []
+            for cyc, x in group.items():
+                idx = _bit_indices(cyc)
+                ranked.append((sum(weights[i] for i in idx), idx, cyc, x))
+            ranked.sort()
+            for w, _, cyc, x in ranked:
+                if _insert(pivots, x)[0]:
+                    chosen.append((cyc, w))
+                    if len(chosen) == beta:
+                        return chosen
+        if low == float("inf"):
+            raise InternalError("candidate cycles failed to span the annotations")
+        radius = max(radius + radius // 2 if exact else radius * 1.5, low)
+        for root, tree in enumerate(trees):
+            if nxt[root] <= radius:
+                nxt[root] = tree.send(radius)
 
 
-def min_homology_basis(K: Complex) -> List[WeightedChain]:
-    """Minimum-weight H_1 basis, ascending by weight: the greedy on the
-    1-skeleton, each edge annotated by the homology coordinates of its
-    fundamental cycle in a BFS spanning tree (0 on tree edges)."""
-    if not (K.lo <= 0 and 1 <= K.hi):
-        raise InputError("window must cover dimensions 0 and 1")
+def _fundamental_cycles(K: Complex) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """The vertex indices of each edge's ends, and each edge's fundamental
+    cycle, as an edge bitset, in a BFS spanning tree of the 1-skeleton from
+    vertex 0 (0 on tree edges).  Raises InputError unless the tree spans."""
     n = K.n(0)
     vidx = K.index[0]
     ends = [(vidx[(a,)], vidx[(b,)]) for a, b in K.simplices[1]]
@@ -240,13 +318,20 @@ def min_homology_basis(K: Complex) -> List[WeightedChain]:
                 order.append(v)
     if not n or len(order) < n:
         raise InputError("complex must be connected; run per component")
+    return ends, [path[a] ^ path[b] ^ 1 << ei for ei, (a, b) in enumerate(ends)]
+
+
+def min_homology_basis(K: Complex) -> List[WeightedChain]:
+    """Minimum-weight H_1 basis, ascending by weight: the greedy on the
+    1-skeleton, each edge annotated by the homology coordinates of its
+    fundamental cycle in a BFS spanning tree (0 on tree edges)."""
+    if not (K.lo <= 0 and 1 <= K.hi):
+        raise InputError("window must cover dimensions 0 and 1")
+    ends, cycles = _fundamental_cycles(K)
     hb = homology_basis(K, 1)
-    ann = []
-    for ei, (a, b) in enumerate(ends):
-        cyc = path[a] ^ path[b] ^ 1 << ei
-        ann.append(hb.coordinates(K.chain_from_bits(1, cyc)).bits if cyc else 0)
+    ann = [hb.coordinates(K.chain_from_bits(1, z)).bits if z else 0 for z in cycles]
     weights = [K.edge_weight(e) for e in K.simplices[1]]
-    chosen = _horton_greedy(n, ends, weights, ann, len(hb))
+    chosen = _horton_greedy(K.n(0), ends, weights, ann, len(hb))
     return [WeightedChain(K.chain_from_bits(1, cyc), w) for cyc, w in chosen]
 
 
@@ -256,9 +341,14 @@ def min_cohomology_basis(K: Complex) -> List[WeightedChain]:
 
     Each element is a nontrivial cocycle whose edges form a single circle of
     the dual graph: the greedy on the dual graph, each dual edge annotated
-    by which homology basis cycles hold its primal edge.  On a closed
-    surface the complex is connected iff its dual graph is, which the
-    greedy checks.
+    by which homology basis cycles hold its primal edge.  That basis comes
+    from a tree-cotree decomposition (Eppstein 2003): a BFS spanning tree of
+    the 1-skeleton, then a spanning tree of the dual graph on the other
+    edges; the 2g edges left out of both close fundamental cycles in the
+    first tree that form a homology basis.  The annotation of a cocycle
+    then vanishes exactly on coboundaries, like that of any homology basis,
+    and the greedy's picks depend on nothing else.  No boundary map is built
+    and nothing is eliminated.
     """
     # dual edge j joins triangles ends[j] across primal edge primal[j], in
     # (t1, t2) triangle-pair order
@@ -269,14 +359,33 @@ def min_cohomology_basis(K: Complex) -> List[WeightedChain]:
     for j, ei in enumerate(primal):
         dual[ei] = j
     weights = [K.edge_weight(K.simplices[1][ei]) for ei in primal]
-    cycles = homology_basis(K, 1).cycles
+    cycles = _fundamental_cycles(K)[1]
+    # the cotree: a BFS tree of the dual graph on the edges off the primal tree
+    nbrs: List[List[Tuple[int, int]]] = [[] for _ in range(K.n(2))]
+    for j, (t1, t2) in enumerate(ends):
+        if cycles[primal[j]]:
+            nbrs[t1].append((t2, j))
+            nbrs[t2].append((t1, j))
+    reached = [False] * len(nbrs)
+    reached[0] = True
+    cotree = set()
+    frontier = [0]
+    for t in frontier:
+        for u, j in nbrs[t]:
+            if not reached[u]:
+                reached[u] = True
+                cotree.add(j)
+                frontier.append(u)
     ann = [0] * len(primal)
-    for i, z in enumerate(cycles):
-        for ei in _bit_indices(z.support.bits):
-            ann[dual[ei]] |= 1 << i
+    beta = 0
+    for ei, z in enumerate(cycles):
+        if z and dual[ei] not in cotree:
+            for i in _bit_indices(z):
+                ann[dual[i]] |= 1 << beta
+            beta += 1
     out = [
         WeightedChain(K.chain_from_bits(1, _reindex(cyc, primal)), w)
-        for cyc, w in _horton_greedy(K.n(2), ends, weights, ann, len(cycles))
+        for cyc, w in _horton_greedy(K.n(2), ends, weights, ann, beta)
     ]
     out.sort(key=lambda wc: (wc.weight, tuple(_bit_indices(wc.chain.support.bits))))
     return out

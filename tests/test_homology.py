@@ -1,7 +1,9 @@
 """Homology ranks, bases, and minimum homology and cohomology bases."""
 
+import heapq
 import random
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import grid_torus_triangles, random_complex
 from z2cut.canonical import gen_canonical
-from z2cut.complexes import boundary_matrix, build_complex
-from z2cut.errors import InputError
-from z2cut.gf2 import GF2Matrix, GF2Vector, kernel_basis, rank
+from z2cut.complexes import boundary_matrix, build_complex, dual_graph
+from z2cut.errors import InputError, InternalError
+from z2cut.gf2 import GF2Matrix, GF2Vector, _bit_indices, _insert, _reindex, kernel_basis, rank
 from z2cut.homology import (
+    _horton_greedy,
     betti,
     homology_basis,
     min_cohomology_basis,
@@ -235,6 +238,44 @@ def test_min_cohomology_basis_matches_brute_on_tied_grids(ws):
     assert [wc.weight for wc in min_cohomology_basis(K)] == _brute_min_cocycle_weights(K)
 
 
+def test_min_cohomology_basis_takes_ints_past_the_float_range():
+    """Int weights sum exactly at any size: 10**400 on every edge scales
+    the unit basis, where a float bound would overflow."""
+    unit = build_complex(grid_torus_triangles(3), (0, 2))
+    huge = build_complex(grid_torus_triangles(3), (0, 2), {e: 10**400 for e in _grid_torus_edges(3)})
+    want = [(wc.chain.support.bits, wc.weight * 10**400) for wc in min_cohomology_basis(unit)]
+    assert [(wc.chain.support.bits, wc.weight) for wc in min_cohomology_basis(huge)] == want
+
+
+def _min_cohomology_basis_from_homology_basis(K):
+    """min_cohomology_basis as it was before the tree-cotree: each dual edge
+    annotated by the cycles of homology_basis(K, 1) that hold its primal
+    edge."""
+    order = sorted(dual_graph(K))
+    primal = [ei for _, _, ei in order]
+    dual = {ei: j for j, ei in enumerate(primal)}
+    ann = [0] * len(primal)
+    cycles = homology_basis(K, 1).cycles
+    for i, z in enumerate(cycles):
+        for ei in _bit_indices(z.support.bits):
+            ann[dual[ei]] |= 1 << i
+    weights = [K.edge_weight(K.simplices[1][ei]) for ei in primal]
+    chosen = _all_trees_greedy(K.n(2), [(t1, t2) for t1, t2, _ in order], weights, ann, len(cycles))
+    out = [(_reindex(cyc, primal), w) for cyc, w in chosen]
+    return sorted(out, key=lambda cw: (cw[1], _bit_indices(cw[0])))
+
+
+def test_cotree_annotations_pick_the_same_basis(torus):
+    """Any homology basis gives annotations with the same kernel, the
+    coboundaries, and so the same picks."""
+    surfaces = [torus[0]] + [gen_canonical("genus-g", {"g": g})[0] for g in (2, 3)]
+    surfaces += [build_complex(grid_torus_triangles(n), (0, 2)) for n in (3, 5)]
+    surfaces += [_weighted_grid_torus(n, n) for n in (3, 4, 5)]
+    for K in surfaces:
+        got = [(wc.chain.support.bits, wc.weight) for wc in min_cohomology_basis(K)]
+        assert got == _min_cohomology_basis_from_homology_basis(K)
+
+
 # The chains (as support bitsets) and weights of both minimum bases, recorded
 # from the candidate-bitset greedy that ranked every (root, edge) candidate.
 # Ties are broken by (weight, sorted edge indices); these pin that rule.
@@ -269,3 +310,162 @@ def test_min_bases_pin_tie_break(torus):
         cohomology, homology = _PINNED_BASES[name]
         assert [(wc.chain.support.bits, wc.weight) for wc in min_cohomology_basis(K)] == cohomology, name
         assert [(wc.chain.support.bits, wc.weight) for wc in min_homology_basis(K)] == homology, name
+
+
+def _all_trees_greedy(nverts, ends, weights, ann, beta):
+    """The Horton greedy as it was before its trees grew on demand: a full
+    Dijkstra from every vertex, every kept candidate's key sorted, then the
+    weight groups in key order.  The reference for ``_horton_greedy``."""
+    if not nverts:
+        raise InputError("complex must be connected; run per component")
+    adj = [[] for _ in range(nverts)]
+    for ei, (a, b) in enumerate(ends):
+        adj[a].append((b, ei))
+        adj[b].append((a, ei))
+    for nbrs in adj:
+        nbrs.sort()
+    inf = float("inf")
+    keys, parents = [], []
+    for root in range(nverts):
+        dist = [inf] * nverts
+        parent = [-1] * nverts
+        lab = [0] * nverts
+        branch = [-1] * nverts
+        settled = 0
+        dist[root] = 0
+        heap = [(0, root)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            settled += 1
+            pe = parent[u]
+            if pe >= 0:
+                a, b = ends[pe]
+                t = a ^ b ^ u
+                lab[u] = lab[t] ^ ann[pe]
+                branch[u] = pe if t == root else branch[t]
+            for v, ei in adj[u]:
+                nd = d + weights[ei]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = ei
+                    heapq.heappush(heap, (nd, v))
+        if settled < nverts:
+            raise InputError("complex must be connected; run per component")
+        if beta == 0:
+            return []
+        parents.append(parent)
+        for ei, (a, b) in enumerate(ends):
+            if branch[a] != branch[b] and lab[a] ^ lab[b] ^ ann[ei]:
+                keys.append((dist[a] + dist[b] + weights[ei], root, ei))
+    keys.sort()
+    chosen, pivots = [], {}
+    for _, same_weight in groupby(keys, key=itemgetter(0)):
+        group = {}
+        for _, root, ei in same_weight:
+            parent = parents[root]
+            cyc, x = 1 << ei, ann[ei]
+            for v in ends[ei]:
+                while v != root:
+                    pe = parent[v]
+                    cyc ^= 1 << pe
+                    x ^= ann[pe]
+                    a, b = ends[pe]
+                    v = a ^ b ^ v
+            group[cyc] = x
+        ranked = []
+        for cyc, x in group.items():
+            idx = _bit_indices(cyc)
+            ranked.append((sum(weights[i] for i in idx), idx, cyc, x))
+        ranked.sort()
+        for w, _, cyc, x in ranked:
+            if _insert(pivots, x)[0]:
+                chosen.append((cyc, w))
+                if len(chosen) == beta:
+                    return chosen
+    raise InternalError("candidate cycles failed to span the annotations")
+
+
+def _outcome(greedy, args):
+    """The greedy's output list, or the type of the error it raised."""
+    try:
+        return greedy(*args)
+    except (InputError, InternalError) as exc:
+        return type(exc)
+
+
+_PALETTES = {
+    "unit": [1],
+    "ints": list(range(1, 10)),
+    "decimals": [0.1, 0.2, 0.3, 0.7],
+    "absorbed": [1e-3, 1, 1e16],
+}
+
+
+def _random_multigraph(rng, palette):
+    """Up to 14 vertices: a random spanning tree (one edge dropped 5% of the
+    time), up to 2n more edges with repeats and a few loops, in random
+    order; beta 0..4 capped at the cycle rank, random annotations."""
+    n = rng.randint(1, 14)
+    ends = [(rng.randrange(i), i) for i in range(1, n)]
+    if n > 1 and rng.random() < 0.05:
+        ends.pop(rng.randrange(len(ends)))
+    for _ in range(rng.randint(0, 2 * n)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b or rng.random() < 0.1:
+            ends.append((a, b))
+    rng.shuffle(ends)
+    beta = max(0, min(rng.randint(0, 4), len(ends) - n + 1))
+    weights = [rng.choice(palette) for _ in ends]
+    ann = [rng.randrange(1 << beta) for _ in ends]
+    return n, ends, weights, ann, beta
+
+
+def test_greedy_matches_the_all_trees_reference():
+    seen = set()
+    for name, palette in _PALETTES.items():
+        rng = random.Random(name)
+        for _ in range(750):
+            args = _random_multigraph(rng, palette)
+            want = _outcome(_all_trees_greedy, args)
+            assert _outcome(_horton_greedy, args) == want, (name, args)
+            seen.add(want if isinstance(want, type) else len(want))
+    # every outcome occurs: each list length 0..4 and both errors
+    assert seen == {0, 1, 2, 3, 4, InputError, InternalError}
+
+
+# Cases where a lazy greedy went wrong on floats, each shrunk from a random
+# multigraph.  Rounding: a bound of exactly 2L took the weight group of key
+# 0.7999999999999999 while a candidate of that key was still to come.
+# Absorption: from vertex 5, 1e16 + 1 == 1e16 puts vertices 1 and 2 on the
+# level {0, 3} while it is settled; a queue that appended them after it
+# settled 3 before them, and vertex 4 took its tree edge from 3, not 1.
+_FLOAT_CASES = [
+    (
+        (
+            12,
+            [(4, 1), (8, 11), (2, 9), (0, 5), (11, 8), (11, 1), (0, 2), (1, 10), (3, 7), (2, 4), (6, 11), (0, 1), (10, 7)],
+            [0.3, 0.7, 0.3, 0.3, 0.1, 0.7, 0.2, 0.3, 0.7, 0.2, 0.3, 0.1, 0.1],
+            [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0],
+            2,
+        ),
+        [(2625, 0.7999999999999999), (18, 0.7999999999999999)],
+    ),
+    (
+        (
+            6,
+            [(0, 1), (1, 4), (0, 5), (1, 2), (4, 3), (4, 2), (3, 5)],
+            [1, 1, 1e16, 1, 1, 1, 1e16],
+            [0, 0, 0, 1, 0, 1, 1],
+            1,
+        ),
+        [(87, 2.0000000000000004e16)],
+    ),
+]
+
+
+@pytest.mark.parametrize("args, want", _FLOAT_CASES, ids=["rounding", "absorbed"])
+def test_greedy_float_regressions(args, want):
+    assert _all_trees_greedy(*args) == want
+    assert _horton_greedy(*args) == want
