@@ -265,10 +265,15 @@ def _min_cohomology_basis_from_homology_basis(K):
     return sorted(out, key=lambda cw: (cw[1], _bit_indices(cw[0])))
 
 
+# The 6-vertex projective plane, a non-orientable closed surface (beta_1 = 1).
+_RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5), (1, 2, 4), (2, 3, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5)]
+
+
 def test_cotree_annotations_pick_the_same_basis(torus):
     """Any homology basis gives annotations with the same kernel, the
-    coboundaries, and so the same picks."""
-    surfaces = [torus[0]] + [gen_canonical("genus-g", {"g": g})[0] for g in (2, 3)]
+    coboundaries, and so the same picks, orientable or not."""
+    surfaces = [torus[0], build_complex(sorted(tuple(sorted(t)) for t in _RP2), (0, 2))]
+    surfaces += [gen_canonical("genus-g", {"g": g})[0] for g in (2, 3)]
     surfaces += [build_complex(grid_torus_triangles(n), (0, 2)) for n in (3, 5)]
     surfaces += [_weighted_grid_torus(n, n) for n in (3, 4, 5)]
     for K in surfaces:
