@@ -34,8 +34,11 @@ def _lowest(bits: int) -> int:
 
 def solve_bnt_greedy(K: Complex, zeta: Chain) -> Chain:
     """Smallest-ish set of (r+1)-simplices making zeta non-bounding."""
-    r = zeta.dimension
-    inst = CutInstance.for_bnt(K, zeta)  # InputError unless zeta bounds
+    return _greedy_cover(CutInstance.for_bnt(K, zeta), zeta)  # InputError unless zeta bounds
+
+
+def _greedy_cover(inst: CutInstance, zeta: Chain) -> Chain:
+    """The cover of :func:`solve_bnt_greedy`, from zeta's ``for_bnt`` instance."""
     if not zeta.support.bits:
         raise InputError("the zero cycle bounds the empty chain; no removal makes it non-bounding")
     x = solve(inst.boundary, zeta.support).bits
@@ -52,4 +55,4 @@ def solve_bnt_greedy(K: Complex, zeta: Chain) -> Chain:
     bits = sum(1 << j for j in picks)
     if not inst.cut(bits)[0]:
         raise InternalError("greedy cover output failed the feasibility check")
-    return K.chain_from_bits(r + 1, bits)
+    return inst.K.chain_from_bits(inst.r + 1, bits)

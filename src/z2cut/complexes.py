@@ -255,35 +255,50 @@ def _surface_cofacets(K: Complex) -> Optional[List[List[int]]]:
     """Per edge index, the indices of its two triangles, ascending, if K is
     a closed surface, else None.
 
-    One pass over the triangles collects the edge cofacets and every vertex
-    link; K is a closed surface when each edge has exactly two triangles and
-    each vertex link is a single circle.
+    K is a closed surface when each edge has exactly two triangles and each
+    vertex link is a single circle.  Once every edge has two triangles,
+    every link is 2-regular: link vertex b of v has the two triangles of
+    edge vb.  So a link is a circle iff it is connected, iff the walk around
+    v from one triangle to the next across their shared edge at v crosses
+    every edge at v before it returns.
     """
     if K.lo > 0 or K.hi < 2:
         return None
     edge = K.index[1]
     cofacets: List[List[int]] = [[] for _ in range(K.n(1))]
-    links: Dict[int, Dict[int, List[int]]] = {v: {} for (v,) in K.simplices[0]}
-    for ti, t in enumerate(K.simplices[2]):
-        for e in combinations(t, 2):
-            cofacets[edge[e]].append(ti)
-        for v in t:
-            a, b = (u for u in t if u != v)
-            links[v].setdefault(a, []).append(b)
-            links[v].setdefault(b, []).append(a)
+    # sides[t] = the edges ab, ac, bc of triangle t = (a, b, c)
+    sides: List[Tuple[int, int, int]] = []
+    for ti, (a, b, c) in enumerate(K.simplices[2]):
+        s = (edge[(a, b)], edge[(a, c)], edge[(b, c)])
+        sides.append(s)
+        for ei in s:
+            cofacets[ei].append(ti)
     if any(len(ts) != 2 for ts in cofacets):
         return None
-    for link in links.values():
-        if not link or any(len(nbrs) != 2 for nbrs in link.values()):
+    vidx = K.index[0]
+    degree = [0] * K.n(0)
+    start = [-1] * K.n(0)  # one edge at each vertex
+    for ei, (a, b) in enumerate(K.simplices[1]):
+        for v in (vidx[(a,)], vidx[(b,)]):
+            degree[v] += 1
+            start[v] = ei
+    tris = K.simplices[2]
+    for (v,), e0, deg in zip(K.simplices[0], start, degree):
+        if e0 < 0:
             return None
-        # walk the circle through one link vertex; it must reach them all
-        start = next(iter(link))
-        prev, cur, length = start, link[start][0], 1
-        while cur != start:
-            a, b = link[cur]
-            prev, cur = cur, b if a == prev else a
-            length += 1
-        if length != len(link):
+        t, e, crossed = cofacets[e0][0], e0, 0
+        while True:
+            # the two sides at corner k of a triangle: ab, ac at a; ab, bc at b; ac, bc at c
+            s = sides[t]
+            k = tris[t].index(v)
+            x, y = (s[0], s[1]) if k == 0 else (s[0], s[2]) if k == 1 else (s[1], s[2])
+            e = y if e == x else x
+            crossed += 1
+            if e == e0:
+                break
+            t1, t2 = cofacets[e]
+            t = t2 if t == t1 else t1
+        if crossed != deg:
             return None
     return cofacets
 

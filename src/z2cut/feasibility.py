@@ -116,19 +116,34 @@ class CutInstance:
     @classmethod
     def for_ths(cls, K: Complex, zeta: Chain) -> "CutInstance":
         _require_cycle(K, zeta)
-        inst = cls(K, zeta.dimension)
-        if in_colspace(inst.boundary, zeta.support):
-            raise InputError("input cycle bounds; a non-bounding cycle is required")
-        inst._cols, inst._target = inst.boundary.cols, zeta.support
-        return inst
+        return cls(K, zeta.dimension)._for_ths(zeta)
 
     @classmethod
     def for_bnt(cls, K: Complex, zeta: Chain) -> "CutInstance":
-        inst = cls(K, zeta.dimension)
-        x0 = solve(inst.boundary, zeta.support)
+        return cls(K, zeta.dimension)._for_bnt(zeta)
+
+    def _for_ths(self, zeta: Chain) -> "CutInstance":
+        """:meth:`for_ths` for an r-cycle zeta of K, on this instance's ∂:
+        the new instance shares ∂ and its cached elimination, so a solver
+        that asks about many cycles of one complex builds and eliminates ∂
+        once."""
+        if in_colspace(self.boundary, zeta.support):
+            raise InputError("input cycle bounds; a non-bounding cycle is required")
+        return self._aimed(self.boundary.cols, zeta.support)
+
+    def _for_bnt(self, zeta: Chain) -> "CutInstance":
+        """:meth:`for_bnt` on this instance's ∂, shared as in :meth:`_for_ths`."""
+        x0 = solve(self.boundary, zeta.support)
         if x0 is None:
             raise InputError("input cycle does not bound; a bounding cycle is required")
-        inst._cols, inst._target = _eliminate(inst.boundary)[1], x0
+        return self._aimed(_eliminate(self.boundary)[1], x0)
+
+    def _aimed(self, cols: List[int], target: GF2Vector) -> "CutInstance":
+        """A new instance on this ∂ whose :meth:`cut` tests target against cols."""
+        inst = CutInstance.__new__(CutInstance)
+        inst.K, inst.r, inst.boundary = self.K, self.r, self.boundary
+        inst._cols, inst._target = cols, target
+        inst._rows = inst._cycles = None
         return inst
 
     def cut(self, mask: int) -> Tuple[bool, Dict[str, int]]:

@@ -166,8 +166,12 @@ def solve_ths_fpt(K: Complex, zeta: Chain, config: FPTConfig) -> Optional[Chain]
     (``feasible``), and the children the bound skipped plus the centers
     above the last member of supp zeta (``pruned``).
     """
-    r = zeta.dimension
-    inst = CutInstance.for_ths(K, zeta)
+    return _search(CutInstance.for_ths(K, zeta), zeta, config)
+
+
+def _search(inst: CutInstance, zeta: Chain, config: FPTConfig) -> Optional[Chain]:
+    """The search of :func:`solve_ths_fpt`, from zeta's ``for_ths`` instance."""
+    K, r = inst.K, inst.r
     n = K.n(r)
     nbrs = _neighbour_bits(r_adjacency(K, r))
     dist = _distances(nbrs, zeta.support.bits, n)

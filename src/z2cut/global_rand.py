@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .bnt_greedy import solve_bnt_greedy
+from .bnt_greedy import _greedy_cover
 from .complexes import Chain, Complex, boundary_matrix
 from .errors import InputError
 from .feasibility import CutInstance
-from .fpt_ths import FPTConfig, solve_ths_fpt
+from .fpt_ths import FPTConfig, _search
 from .gf2 import GF2Matrix, GF2Vector, _bit_indices, column_space_pivots
-from .homology import HomologyBasis, homology_basis
+from .homology import HomologyBasis, _homology_basis, homology_basis
 
 __all__ = [
     "RandomizedRun",
@@ -112,12 +112,14 @@ def solve_global_ths(
 ) -> Optional[Chain]:
     """Best verified global hitting set over seeded independent trials."""
     _require_trials(trials)
-    hb = homology_basis(K, r)
+    if not (K.lo <= r <= K.hi):
+        raise InputError(f"dimension {r} outside window [{K.lo},{K.hi}]")
     inst = CutInstance(K, r)
+    hb = _homology_basis(K, r, inst.boundary)
     best: Optional[Chain] = None
     for t in range(trials):
         zeta = _draw_class(hb, seed + t)
-        sol = solve_ths_fpt(K, zeta, config)
+        sol = _search(inst._for_ths(zeta), zeta, config)
         ok = sol is not None and inst.global_ths(sol.support.bits)[0]
         if run is not None:
             run.records.append(
@@ -142,7 +144,7 @@ def solve_global_bnt(
     best: Optional[Chain] = None
     for t in range(trials):
         zeta = _draw_bounding(K, r, inst.boundary, pivots, seed + t)
-        sol = solve_bnt_greedy(K, zeta)
+        sol = _greedy_cover(inst._for_bnt(zeta), zeta)
         ok = inst.global_bnt(sol.support.bits)[0]
         if run is not None:
             run.records.append(

@@ -36,6 +36,10 @@ def random_complex(seed, nv=6, ntri=5, window=(0, 2)):
     return build_complex(tops, window)
 
 
+# The 6-vertex projective plane, a non-orientable closed surface (beta_1 = 1).
+RP2_TRIANGLES = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5), (1, 2, 4), (2, 3, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5)]
+
+
 def grid_torus_triangles(n):
     """The triangles of the n x n grid torus, squares cut by a diagonal."""
     tris = []

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex
+from conftest import RP2_TRIANGLES, grid_torus_triangles, random_complex
+from z2cut.canonical import gen_canonical
 from z2cut.complexes import (
     Complex,
     boundary_matrix,
@@ -144,6 +145,70 @@ def test_surface_predicates(torus, tetra):
     assert not is_closed_surface(pinched)
     with pytest.raises(InputError):
         dual_graph(pinched)
+
+
+def _closed_by_links(K):
+    """The definition, from the link graphs: the window holds dimensions 0
+    to 2, every edge lies in two triangles, and the link of every vertex,
+    the edges bc opposite it in its triangles vbc, is one circle."""
+    if K.lo > 0 or K.hi < 2:
+        return False
+    if any(sum(set(e) <= set(t) for t in K.simplices[2]) != 2 for e in K.simplices[1]):
+        return False
+    for (v,) in K.simplices[0]:
+        link = {}
+        for t in K.simplices[2]:
+            if v in t:
+                a, b = (u for u in t if u != v)
+                link.setdefault(a, set()).add(b)
+                link.setdefault(b, set()).add(a)
+        if not link or any(len(nbrs) != 2 for nbrs in link.values()):
+            return False
+        reached = {next(iter(link))}
+        frontier = list(reached)
+        while frontier:
+            new = link[frontier.pop()] - reached
+            reached |= new
+            frontier.extend(new)
+        if len(reached) != len(link):
+            return False
+    return True
+
+
+def _surface_variants():
+    """Closed surfaces, and each with an isolated vertex, with a hole, with
+    two vertices identified, and glued to a copy of itself at one or two
+    vertices (pinched at a vertex, or along an edge or at two vertices)."""
+    surfaces = [gen_canonical(name)[0].simplices[2] for name in ("tetra-sphere", "octa-sphere", "csaszar-torus")]
+    surfaces += [gen_canonical("genus-g", {"g": 2})[0].simplices[2], RP2_TRIANGLES]
+    surfaces += [grid_torus_triangles(n) for n in (3, 4)]
+    for tris in surfaces:
+        tris = sorted(tuple(sorted(t)) for t in tris)
+        m = max(v for t in tris for v in t)
+        yield tris
+        yield tris + [(m + 1,)]
+        yield tris[1:]
+        merged = {tuple(sorted({0 if v == 1 else v for v in t})) for t in tris}
+        yield sorted(t for t in merged if len(t) == 3)
+        for shift in (m, m - 1):
+            yield tris + [tuple(v + shift for v in t) for t in tris]
+
+
+def test_closed_surface_matches_the_link_definition():
+    verdicts = []
+    for tris in _surface_variants():
+        for window in ((0, 2), (1, 2), (0, 3)):
+            K = build_complex(tris, window)
+            verdicts.append(is_closed_surface(K))
+            assert verdicts[-1] == _closed_by_links(K), (tris, window)
+    assert any(verdicts) and not all(verdicts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.sampled_from(list(combinations(range(6), 3))), min_size=1, max_size=12))
+def test_closed_surface_matches_the_link_definition_at_random(tris):
+    K = build_complex(sorted(tris), (0, 2))
+    assert is_closed_surface(K) == _closed_by_links(K)
 
 
 def test_dual_graph_torus(torus):

@@ -1,10 +1,17 @@
 """Seeded randomized solvers for the any-class problem variants."""
 
+import sys
+
 import pytest
 
+import z2cut.complexes as complexes
+import z2cut.gf2 as gf2
+from conftest import grid_torus_triangles
+from z2cut.bnt_greedy import solve_bnt_greedy
+from z2cut.complexes import build_complex
 from z2cut.errors import InputError
 from z2cut.feasibility import is_global_bnt_solution, is_global_ths_solution
-from z2cut.fpt_ths import FPTConfig
+from z2cut.fpt_ths import FPTConfig, solve_ths_fpt
 from z2cut.global_rand import (
     RandomizedRun,
     random_bounding_cycle,
@@ -89,3 +96,59 @@ def test_trials_must_be_positive(torus, tetra):
         solve_global_ths(torus[0], 1, FPTConfig(k=6), seed=1, trials=0)
     with pytest.raises(InputError, match="trials"):
         solve_global_bnt(tetra[0], 1, seed=1, trials=-1)
+
+
+def _count_work(monkeypatch):
+    """Patch every z2cut binding of ``boundary_matrix`` and ``gf2._eliminate``
+    to record the dimension of each boundary map built and the shape of
+    each matrix eliminated (a call that finds the elimination cached does
+    not eliminate)."""
+    built, eliminated = [], []
+    real_build, real_eliminate = complexes.boundary_matrix, gf2._eliminate
+
+    def build(K, p):
+        built.append(p)
+        return real_build(K, p)
+
+    def eliminate(M):
+        if M._echelon_cache is None:
+            eliminated.append((M.nrows, M.ncols))
+        return real_eliminate(M)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("z2cut."):
+            if getattr(mod, "boundary_matrix", None) is real_build:
+                monkeypatch.setattr(mod, "boundary_matrix", build)
+            if getattr(mod, "_eliminate", None) is real_eliminate:
+                monkeypatch.setattr(mod, "_eliminate", eliminate)
+    return built, eliminated
+
+
+def test_global_solvers_build_and_eliminate_the_boundary_once(torus, monkeypatch):
+    """Every trial shares one ∂_2 and its elimination, and each record is
+    what the one-cycle solver gives on that trial's draw."""
+    T = build_complex(grid_torus_triangles(4), (0, 2))
+    shape = (T.n(1), T.n(2))
+    built, eliminated = _count_work(monkeypatch)
+    run = RandomizedRun(seed=5, trials=3)
+    solve_global_bnt(T, 1, seed=5, trials=3, run=run)
+    assert built.count(2) == 1 and eliminated.count(shape) == 1
+    monkeypatch.undo()
+    for t, rec in enumerate(run.records):
+        zeta = random_bounding_cycle(T, 1, 5 + t)
+        sol = solve_bnt_greedy(T, zeta)
+        assert rec == {"trial": t, "cycle": zeta.support.bits, "size": len(sol),
+                       "success": is_global_bnt_solution(T, 1, sol).verdict}
+
+    K = torus[0]
+    shape = (K.n(1), K.n(2))
+    built, eliminated = _count_work(monkeypatch)
+    run = RandomizedRun(seed=4, trials=3)
+    solve_global_ths(K, 1, FPTConfig(k=6), seed=4, trials=3, run=run)
+    assert built.count(2) == 1 and eliminated.count(shape) == 1
+    monkeypatch.undo()
+    for t, rec in enumerate(run.records):
+        zeta = random_nontrivial_cycle(K, 1, 4 + t)
+        sol = solve_ths_fpt(K, zeta, FPTConfig(k=6))
+        assert rec == {"trial": t, "class": zeta.support.bits, "size": len(sol),
+                       "success": is_global_ths_solution(K, 1, sol).verdict}

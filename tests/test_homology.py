@@ -1,6 +1,7 @@
 """Homology ranks, bases, and minimum homology and cohomology bases."""
 
 import heapq
+import math
 import random
 from itertools import combinations, groupby
 from operator import itemgetter
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_torus_triangles, random_complex
+from conftest import RP2_TRIANGLES, grid_torus_triangles, random_complex
 from z2cut.canonical import gen_canonical
 from z2cut.complexes import boundary_matrix, build_complex, dual_graph
 from z2cut.errors import InputError, InternalError
@@ -248,9 +249,9 @@ def test_min_cohomology_basis_takes_ints_past_the_float_range():
 
 
 def _min_cohomology_basis_from_homology_basis(K):
-    """min_cohomology_basis as it was before the tree-cotree: each dual edge
-    annotated by the cycles of homology_basis(K, 1) that hold its primal
-    edge."""
+    """min_cohomology_basis as it was before the tree-cotree and the root
+    cover: each dual edge annotated by the cycles of homology_basis(K, 1)
+    that hold its primal edge, and a tree from every triangle."""
     order = sorted(dual_graph(K))
     primal = [ei for _, _, ei in order]
     dual = {ei: j for j, ei in enumerate(primal)}
@@ -260,19 +261,17 @@ def _min_cohomology_basis_from_homology_basis(K):
         for ei in _bit_indices(z.support.bits):
             ann[dual[ei]] |= 1 << i
     weights = [K.edge_weight(K.simplices[1][ei]) for ei in primal]
-    chosen = _all_trees_greedy(K.n(2), [(t1, t2) for t1, t2, _ in order], weights, ann, len(cycles))
+    ends = [(t1, t2) for t1, t2, _ in order]
+    chosen = _all_trees_greedy(K.n(2), ends, weights, ann, len(cycles), range(K.n(2)))
     out = [(_reindex(cyc, primal), w) for cyc, w in chosen]
     return sorted(out, key=lambda cw: (cw[1], _bit_indices(cw[0])))
 
 
-# The 6-vertex projective plane, a non-orientable closed surface (beta_1 = 1).
-_RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5), (1, 2, 4), (2, 3, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5)]
-
-
 def test_cotree_annotations_pick_the_same_basis(torus):
     """Any homology basis gives annotations with the same kernel, the
-    coboundaries, and so the same picks, orientable or not."""
-    surfaces = [torus[0], build_complex(sorted(tuple(sorted(t)) for t in _RP2), (0, 2))]
+    coboundaries, and so the same picks from every root, orientable or not;
+    on these surfaces the cover's trees break every tie the same way."""
+    surfaces = [torus[0], build_complex(sorted(tuple(sorted(t)) for t in RP2_TRIANGLES), (0, 2))]
     surfaces += [gen_canonical("genus-g", {"g": g})[0] for g in (2, 3)]
     surfaces += [build_complex(grid_torus_triangles(n), (0, 2)) for n in (3, 5)]
     surfaces += [_weighted_grid_torus(n, n) for n in (3, 4, 5)]
@@ -317,10 +316,11 @@ def test_min_bases_pin_tie_break(torus):
         assert [(wc.chain.support.bits, wc.weight) for wc in min_homology_basis(K)] == homology, name
 
 
-def _all_trees_greedy(nverts, ends, weights, ann, beta):
+def _all_trees_greedy(nverts, ends, weights, ann, beta, roots):
     """The Horton greedy as it was before its trees grew on demand: a full
-    Dijkstra from every vertex, every kept candidate's key sorted, then the
-    weight groups in key order.  The reference for ``_horton_greedy``."""
+    Dijkstra from each root, every kept candidate's key sorted, then the
+    weight groups in key order.  On ``_cover``, the reference for
+    ``_horton_greedy``; with every vertex a root, Horton's own greedy."""
     if not nverts:
         raise InputError("complex must be connected; run per component")
     adj = [[] for _ in range(nverts)]
@@ -330,7 +330,7 @@ def _all_trees_greedy(nverts, ends, weights, ann, beta):
     for nbrs in adj:
         nbrs.sort()
     inf = float("inf")
-    keys, parents = [], []
+    keys, parents = [], {}
     for root in range(nverts):
         dist = [inf] * nverts
         parent = [-1] * nverts
@@ -360,7 +360,9 @@ def _all_trees_greedy(nverts, ends, weights, ann, beta):
             raise InputError("complex must be connected; run per component")
         if beta == 0:
             return []
-        parents.append(parent)
+        if root not in roots:
+            continue
+        parents[root] = parent
         for ei, (a, b) in enumerate(ends):
             if branch[a] != branch[b] and lab[a] ^ lab[b] ^ ann[ei]:
                 keys.append((dist[a] + dist[b] + weights[ei], root, ei))
@@ -427,50 +429,76 @@ def _random_multigraph(rng, palette):
     return n, ends, weights, ann, beta
 
 
+def _cover(ends, ann):
+    """The root set of ``_horton_greedy``: in edge index order, an edge with
+    a nonzero annotation and neither end in the set adds its lower end."""
+    roots = set()
+    for (a, b), x in zip(ends, ann):
+        if x and a not in roots and b not in roots:
+            roots.add(min(a, b))
+    return roots
+
+
 def test_greedy_matches_the_all_trees_reference():
     seen = set()
     for name, palette in _PALETTES.items():
         rng = random.Random(name)
         for _ in range(750):
             args = _random_multigraph(rng, palette)
-            want = _outcome(_all_trees_greedy, args)
+            want = _outcome(_all_trees_greedy, args + (_cover(args[1], args[3]),))
             assert _outcome(_horton_greedy, args) == want, (name, args)
             seen.add(want if isinstance(want, type) else len(want))
     # every outcome occurs: each list length 0..4 and both errors
     assert seen == {0, 1, 2, 3, 4, InputError, InternalError}
 
 
+@pytest.mark.parametrize("name", _PALETTES)
+def test_root_cover_picks_weigh_as_with_every_root(name):
+    """The picks from the cover's trees weigh what the picks from every
+    vertex's tree weigh: exactly with int weights, and within the relative
+    1e-9 of the float bound otherwise, since two cycles of equal weight
+    can sum their edges in different orders."""
+    exact = name in ("unit", "ints")
+    rng = random.Random(f"{name} every root")
+    for _ in range(750):
+        args = _random_multigraph(rng, _PALETTES[name])
+        got = _outcome(_horton_greedy, args)
+        want = _outcome(_all_trees_greedy, args + (range(args[0]),))
+        if isinstance(want, type) or isinstance(got, type):
+            assert got == want, (name, args)
+            continue
+        assert len(got) == len(want), (name, args)
+        for (_, w), (_, v) in zip(got, want):
+            assert w == v if exact else math.isclose(w, v, rel_tol=1e-9), (name, args)
+
+
 # Cases where a lazy greedy went wrong on floats, each shrunk from a random
-# multigraph.  Rounding: a bound of exactly 2L took the weight group of key
-# 0.7999999999999999 while a candidate of that key was still to come.
-# Absorption: from vertex 5, 1e16 + 1 == 1e16 puts vertices 1 and 2 on the
-# level {0, 3} while it is settled; a queue that appended them after it
-# settled 3 before them, and vertex 4 took its tree edge from 3, not 1.
+# multigraph.  Rounding: from vertex 0, the 4-cycle on edges {0, 2, 3, 4}
+# comes when vertex 3 settles at 0.4, with key 0.4 + 0.3 + 0.1 =
+# 0.7999999999999999 < 2 * 0.4; a bound of exactly 2L took that weight
+# group, holding only the 2-cycle {1, 4} from vertex 1, before it came.
+# Absorption: from vertex 4, 1e16 + 1e-3 == 1e16 puts vertices 1 and 2 on
+# the level {0, 5} while 0 is settled; a queue that appended them after the
+# level settled 5 before 1, and vertex 3 took its tree edge from 5, not 1.
 _FLOAT_CASES = [
     (
-        (
-            12,
-            [(4, 1), (8, 11), (2, 9), (0, 5), (11, 8), (11, 1), (0, 2), (1, 10), (3, 7), (2, 4), (6, 11), (0, 1), (10, 7)],
-            [0.3, 0.7, 0.3, 0.3, 0.1, 0.7, 0.2, 0.3, 0.7, 0.2, 0.3, 0.1, 0.1],
-            [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0],
-            2,
-        ),
-        [(2625, 0.7999999999999999), (18, 0.7999999999999999)],
+        (4, [(0, 2), (3, 1), (3, 2), (0, 1), (3, 1)], [0.2, 0.7, 0.2, 0.3, 0.1], [0, 0, 1, 1, 1], 1),
+        [(29, 0.7999999999999999)],
     ),
     (
         (
             6,
-            [(0, 1), (1, 4), (0, 5), (1, 2), (4, 3), (4, 2), (3, 5)],
-            [1, 1, 1e16, 1, 1, 1, 1e16],
-            [0, 0, 0, 1, 0, 1, 1],
-            1,
+            [(0, 2), (1, 3), (1, 5), (3, 2), (3, 5), (0, 4), (0, 1), (4, 5), (1, 2)],
+            [1, 1e-3, 1e-3, 1e-3, 1e-3, 1e16, 1e-3, 1e16, 1e-3],
+            [0, 0, 0, 4, 1, 0, 2, 8, 0],
+            4,
         ),
-        [(87, 2.0000000000000004e16)],
+        [(22, 0.003), (266, 0.003), (321, 1.0019999999999998), (242, 2e16)],
     ),
 ]
 
 
 @pytest.mark.parametrize("args, want", _FLOAT_CASES, ids=["rounding", "absorbed"])
 def test_greedy_float_regressions(args, want):
-    assert _all_trees_greedy(*args) == want
+    assert _all_trees_greedy(*args, _cover(args[1], args[3])) == want
     assert _horton_greedy(*args) == want
