@@ -24,9 +24,10 @@ verifiers are one-set wrappers around it.  The cut tests build only
 Each rank is the pivot count after inserting the columns, masked to S,
 into one ``gf2`` pivot dict; a cut test then reduces the masked target
 against it, and S is a cut iff a residue is left.  Only a search that
-grows its sets one member at a time transposes (:meth:`CutInstance.grow`):
-it keeps one pivot dict of rows, inserts one row per member added and
-deletes that row's key when the member is dropped.
+grows its sets one member at a time transposes
+(:meth:`CutInstance.mirrored_rows`): it keeps one pivot dict of rows,
+reduces one row into it per member added and deletes that row's key when
+the member is dropped.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class CutInstance:
     matrix is built on first use and kept, stored by column.
     """
 
-    __slots__ = ("K", "r", "boundary", "_cols", "_target", "_rows", "_cycles")
+    __slots__ = ("K", "r", "boundary", "_cols", "_target", "_cycles")
 
     def __init__(self, K: Complex, r: int) -> None:
         self.K = K
@@ -110,7 +111,6 @@ class CutInstance:
         # M and the target of cut: ∂ and zeta (for_ths), ker ∂ and x0 (for_bnt)
         self._cols: List[int] = []
         self._target = GF2Vector(0, 0)
-        self._rows: Optional[List[int]] = None
         self._cycles: Optional[List[int]] = None
 
     @classmethod
@@ -143,7 +143,7 @@ class CutInstance:
         inst = CutInstance.__new__(CutInstance)
         inst.K, inst.r, inst.boundary = self.K, self.r, self.boundary
         inst._cols, inst._target = cols, target
-        inst._rows = inst._cycles = None
+        inst._cycles = None
         return inst
 
     def cut(self, mask: int) -> Tuple[bool, Dict[str, int]]:
@@ -159,34 +159,31 @@ class CutInstance:
         rank = len(pivots)
         return verdict, {"size_S": mask.bit_count(), "rank_S": rank, "rank_augmented_S": rank + verdict}
 
-    def grow(self, pivots: Pivots, i: int) -> int:
-        """Make the pivot dict of S that of S + {i}, in place, and return
-        the key it stored, or -1 when row i is in the span of S's rows.
-
-        Row i of [M | target] is inserted with ``gf2._insert``, which adds
-        at most one key and changes no other, so deleting the returned key
-        gives S's dict back: a search that adds and drops one member at a
-        time keeps one dict and never re-inserts the rows it holds.
-        ``grow({}, i)`` starts {i}.  The rows are built on the first call,
-        mirrored: the target is bit 0 and column j of the w columns bit
-        w - j, so a row is keyed by its first column (with the columns in
+    def mirrored_rows(self) -> List[int]:
+        """The rows of [M | target], one bitset each, mirrored: the target is
+        bit 0 and column j of the w columns bit w - j, so a row reduced by
+        its highest bit is keyed by its first column (with the columns in
         place, the rows of the seed-1 ``fpt`` benchmark ops took 42% more
-        xor steps).  S is a cut iff key 0 is present: e_0 is in the row
-        space.
+        xor steps).  Reducing S's rows into one pivot dict keyed by highest
+        bit leaves a pivot at key 0 iff S is a cut: e_0 is in the row space
+        of P_S [M | target] iff target|_S is outside the column space of
+        P_S M.  The FPT search builds these once per solve.
         """
-        rows = self._rows
-        if rows is None:
-            mirrored = GF2Matrix(self._target.length, self._cols[::-1]).rows()
-            rows = self._rows = [row << 1 | self._target.get(k) for k, row in enumerate(mirrored)]
-        return _insert(pivots, rows[i])[0].bit_length() - 1
+        mirrored = GF2Matrix(self._target.length, self._cols[::-1]).rows()
+        return [row << 1 | self._target.get(k) for k, row in enumerate(mirrored)]
 
-    def global_ths(self, mask: int) -> Tuple[bool, Dict[str, int]]:
-        """Does H_r(K_S) -> H_r(K) miss a class: rank P_S Z_r > rank P_S ∂_{r+1}."""
+    def cycles(self) -> List[int]:
+        """A basis of Z_r, the kernel of ∂_r, by column; ∂_r is built and
+        eliminated on the first call only."""
         if self._cycles is None:
             if self.r > self.K.hi:  # Z_r needs ∂_r, which the window does not hold
                 raise InputError(f"dimension {self.r} outside window [{self.K.lo},{self.K.hi}]")
             self._cycles = _eliminate(boundary_matrix(self.K, self.r))[1]
-        rank_cycles = len(_projected(self._cycles, mask))
+        return self._cycles
+
+    def global_ths(self, mask: int) -> Tuple[bool, Dict[str, int]]:
+        """Does H_r(K_S) -> H_r(K) miss a class: rank P_S Z_r > rank P_S ∂_{r+1}."""
+        rank_cycles = len(_projected(self.cycles(), mask))
         rank_boundary = len(_projected(self.boundary.cols, mask))
         return rank_cycles > rank_boundary, {
             "size_S": mask.bit_count(),

@@ -6,11 +6,18 @@ r-simplices depth first, each once, from its least member: from a center
 tau it extends only by neighbours u > tau (the ESU rule; Wernicke,
 "Efficient detection of network motifs", 2006).  The walk keeps its sets
 as bitsets over simplex indices, with each simplex's neighbours as one
-int built once per solve.  One pivot dict of rows serves a whole center
-and is changed in place: a node inserts its new member's row
-(``CutInstance.grow``), so its cut test is one row reduction, and deletes
-the key that insertion stored when it returns.  A cut is not extended,
-and no set is grown past the size of the best cut found so far.
+int built once per solve.  A set's cut test is one row reduction: the
+search takes the mirrored rows of [∂ | zeta] once per solve
+(``CutInstance.mirrored_rows``), and one dict of pivot rows, keyed by
+highest bit, holds the rows of the current set.  A node reduces its new
+member's row into that dict, the loop of ``gf2._insert`` without combos,
+stores the residue if one is left, and deletes that key when it returns.
+The set is a cut iff the key is 0.  A cut is not extended, and no set is
+grown past the size of the best cut found so far, so a set at that size
+cap is a leaf: its parent reduces the leaf's row in place of a call and
+stores nothing, and the residue 1 (e_0) marks a cut.  The walk is one
+recursive function, with no callback per set: it counts its sets itself
+and reads the best cut only when it finds a cut.
 
 Every cut meets supp zeta, since zeta is one of the cycles homologous to
 zeta.  A connected set grows along paths inside itself, so a set needs at
@@ -27,14 +34,14 @@ walk; only the count of visited sets falls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .complexes import Chain, Complex, r_adjacency
 from .errors import InputError, InternalError
 from .feasibility import CutInstance
 # unused here; perfbench/test_perfbench.py checks that the tracer wraps this binding
 from .feasibility import is_ths_feasible  # noqa: F401
-from .gf2 import Pivots, _bit_indices
+from .gf2 import _bit_indices
 
 __all__ = ["FPTConfig", "enumerate_connected_sets", "solve_ths_fpt"]
 
@@ -72,48 +79,25 @@ def _distances(nbrs: Dict[int, int], source: int, n: int) -> List[int]:
     return dist
 
 
-def _no_test(pivots: Pivots, u: int) -> int:
-    """The cut test of a bare enumeration: it stores no row."""
-    return -1
-
-
-def _walk(
-    nbrs: Dict[int, int],
-    v: int,
-    dist: Sequence[int],
-    grow: Callable[[Pivots, int], int],
-    visit: Callable[[List[int], bool], int],
-) -> int:
-    """Visit every connected node set whose least member is v, once, depth
-    first, except the subtrees the distance bound skips; return how many
-    children it skipped.
+def _walk(nbrs: Dict[int, int], v: int, k: int, visit: Callable[[List[int]], None]) -> None:
+    """Visit every connected node set of size <= k whose least member is v,
+    once, depth first: the order of the search of :func:`solve_ths_fpt`
+    without its bound and its cap, and the reference its tests compare it
+    against.
 
     A node is its members, its extension set and the nodes it may still
     add: those above v outside the members and outside every extension set
     on its path.  The children take the extension bits lowest first, each
     one banning those before it: a child's extension set is the bits above
     its new member plus that member's neighbours it may still add, so no
-    set is reached along two branches.  One pivot dict holds the current
-    set's rows: ``grow(pivots, u)`` inserts u's row and returns the key it
-    stored, or -1, and the node deletes that key when it returns.  Key 0
-    means the set is a cut (its parent was not, or it would not have been
-    extended), and a cut is not extended.  ``visit(members, is_cut)`` sees
-    each set in that order, members in insertion order and the list
-    reused, and returns the size cap: a set smaller than the cap is
-    extended.  A set needs at least ``need``, the least ``dist`` of its
-    members, more members to be a cut, so a child is skipped when its size
-    plus its need exceeds the cap, which is re-read after each child.
+    set is reached along two branches.  ``visit(members)`` sees each set in
+    that order, members in insertion order and the list reused.
     """
     members = [v]
-    pivots: Pivots = {}
-    skipped = 0
 
-    def node(u: int, size: int, ext: int, allowed: int, need: int) -> int:
-        nonlocal skipped
-        key = grow(pivots, u)
-        cap = visit(members, key == 0)
-        size += 1  # of each child
-        if key != 0 and size <= cap:
+    def node(u: int, size: int, ext: int, allowed: int) -> None:
+        visit(members)
+        if size < k:
             new = nbrs[u] & allowed
             allowed ^= new
             ext |= new
@@ -121,21 +105,11 @@ def _walk(
                 low = ext & -ext
                 ext ^= low
                 w = low.bit_length() - 1
-                child_need = dist[w]
-                if child_need > need:
-                    child_need = need
-                if size + child_need > cap:
-                    skipped += 1
-                    continue
                 members.append(w)
-                cap = node(w, size, ext, allowed, child_need)
+                node(w, size + 1, ext, allowed)
                 members.pop()
-        if key >= 0:
-            del pivots[key]
-        return cap
 
-    node(v, 1, 0, -2 << v, dist[v])
-    return skipped
+    node(v, 1, 0, -2 << v)
 
 
 def enumerate_connected_sets(G: Dict[int, Set[int]], v: int, k: int) -> List[frozenset]:
@@ -143,13 +117,10 @@ def enumerate_connected_sets(G: Dict[int, Set[int]], v: int, k: int) -> List[fro
     in the search order of :func:`solve_ths_fpt` without its bound."""
     if k < 1:
         raise InputError("size budget k must be >= 1")
+    if v not in G:
+        raise InputError(f"node {v} is not in the graph")
     out: List[frozenset] = []
-
-    def visit(members: List[int], cut: bool) -> int:
-        out.append(frozenset(members))
-        return k
-
-    _walk(_neighbour_bits(G), v, dict.fromkeys(G, 0), _no_test, visit)
+    _walk(_neighbour_bits(G), v, k, lambda members: out.append(frozenset(members)))
     return out
 
 
@@ -170,26 +141,84 @@ def solve_ths_fpt(K: Complex, zeta: Chain, config: FPTConfig) -> Optional[Chain]
 
 
 def _search(inst: CutInstance, zeta: Chain, config: FPTConfig) -> Optional[Chain]:
-    """The search of :func:`solve_ths_fpt`, from zeta's ``for_ths`` instance."""
+    """The search of :func:`solve_ths_fpt`, from zeta's ``for_ths`` instance.
+
+    ``node`` visits the set ``members`` (a bitset of ``size`` members, the
+    last added u) and, unless it is a cut or at the cap, its children in
+    the order of :func:`_walk`, testing those at the cap itself; ``found``
+    takes each cut.  A set needs at least ``need``, the least
+    distance from one of its members to supp zeta, more members to be a
+    cut, so a child whose size plus need exceeds the cap is skipped; the
+    cap is re-read after each child.
+    """
     K, r = inst.K, inst.r
     n = K.n(r)
     nbrs = _neighbour_bits(r_adjacency(K, r))
     dist = _distances(nbrs, zeta.support.bits, n)
+    rows = inst.mirrored_rows()
     last = zeta.support.bits.bit_length() - 1
+    pivots: Dict[int, int] = {}
+    get = pivots.get
     best: Optional[Tuple[int, Tuple[int, ...]]] = None
     cap = config.k
     stats = config.stats = {"candidates": 0, "max_per_center": 0, "feasible": 0, "pruned": 0}
-    visited = 0
+    visited = skipped = 0
 
-    def visit(members: List[int], cut: bool) -> int:
-        nonlocal best, cap, visited
+    def found(size: int, members: int) -> None:
+        nonlocal best, cap
+        key = (size, tuple(_bit_indices(members)))
+        if best is None or key < best:
+            best, cap = key, size
+            stats["feasible"] += 1
+
+    def node(u: int, members: int, size: int, ext: int, allowed: int, need: int) -> None:
+        nonlocal visited, skipped
         visited += 1
-        if cut:
-            key = (len(members), tuple(sorted(members)))
-            if best is None or key < best:
-                best, cap = key, key[0]
-                stats["feasible"] += 1
-        return cap
+        v = rows[u]
+        while v:
+            key = v.bit_length() - 1
+            p = get(key)
+            if p is None:
+                pivots[key] = v
+                break
+            v ^= p
+        else:
+            key = -1
+        if key == 0:
+            found(size, members)
+            del pivots[0]
+            return
+        size += 1  # of each child
+        if size <= cap:
+            new = nbrs[u] & allowed
+            allowed ^= new
+            ext |= new
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                w = low.bit_length() - 1
+                child_need = dist[w]
+                if child_need > need:
+                    child_need = need
+                if size + child_need > cap:
+                    skipped += 1
+                    continue
+                if size < cap:
+                    node(w, members | low, size, ext, allowed, child_need)
+                    continue
+                # a child at the cap is not extended, so its cut test
+                # reduces its row without storing it: a cut leaves e_0
+                visited += 1
+                v = rows[w]
+                while v:
+                    p = get(v.bit_length() - 1)
+                    if p is None:
+                        break
+                    v ^= p
+                if v == 1:
+                    found(size, members | low)
+        if key > 0:
+            del pivots[key]
 
     for tau in range(n):
         if cap == 0:
@@ -198,11 +227,12 @@ def _search(inst: CutInstance, zeta: Chain, config: FPTConfig) -> Optional[Chain
             stats["pruned"] += n - tau
             break
         visited = 0
-        stats["pruned"] += _walk(nbrs, tau, dist, inst.grow, visit)
+        node(tau, 1 << tau, 1, 0, -2 << tau, dist[tau])
         stats["candidates"] += visited
         stats["max_per_center"] = max(stats["max_per_center"], visited)
         if best is not None:
             cap = best[0] - 1
+    stats["pruned"] += skipped
     if best is None:
         return None
     bits = 0

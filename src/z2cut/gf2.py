@@ -151,9 +151,9 @@ def _insert(pivots: Pivots, v: int, combo: int = 0) -> Tuple[int, int]:
     """Reduce v as :func:`_reduce` does and keep a nonzero residue as the
     pivot at its highest bit.
 
-    The loop is repeated here rather than calling ``_reduce``: a cut test
-    inserts a few rows and runs thousands of times per FPT solve, and the
-    second call per row made it about 30% slower.
+    The loop is repeated here rather than calling ``_reduce``, which would
+    cost a second call per inserted vector.  The FPT search repeats it
+    inline, without combos (``fpt_ths._search``).
     """
     while v:
         high = v.bit_length() - 1

@@ -115,7 +115,7 @@ def solve_global_ths(
     if not (K.lo <= r <= K.hi):
         raise InputError(f"dimension {r} outside window [{K.lo},{K.hi}]")
     inst = CutInstance(K, r)
-    hb = _homology_basis(K, r, inst.boundary)
+    hb = _homology_basis(K, r, inst.boundary, inst.cycles())
     best: Optional[Chain] = None
     for t in range(trials):
         zeta = _draw_class(hb, seed + t)

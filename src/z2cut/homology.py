@@ -122,16 +122,17 @@ def homology_basis(K: Complex, p: int) -> HomologyBasis:
     while independent modulo the boundary columns."""
     if not (K.lo <= p <= K.hi):
         raise InputError(f"dimension {p} outside window [{K.lo},{K.hi}]")
-    return _homology_basis(K, p, boundary_matrix(K, p + 1))
+    return _homology_basis(K, p, boundary_matrix(K, p + 1), kernel_basis(boundary_matrix(K, p)).cols)
 
 
-def _homology_basis(K: Complex, p: int, boundary: GF2Matrix) -> HomologyBasis:
-    """:func:`homology_basis` on ∂_{p+1} as given, for p in the window."""
+def _homology_basis(K: Complex, p: int, boundary: GF2Matrix, kernel: List[int]) -> HomologyBasis:
+    """:func:`homology_basis` on ∂_{p+1} and the kernel basis of ∂_p as
+    given, for p in the window."""
     pivots: Pivots = {}
     for col in boundary.cols:
         _insert(pivots, col)
     cycles: List[Chain] = []
-    for z in kernel_basis(boundary_matrix(K, p)).cols:
+    for z in kernel:
         if _insert(pivots, z, 1 << len(cycles))[0]:
             cycles.append(K.chain_from_bits(p, z))
     return HomologyBasis(K, p, cycles, pivots)

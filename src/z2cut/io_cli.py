@@ -12,7 +12,6 @@ verified-true), 1 (no solution / verified-false), 2 (input error),
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -209,6 +208,10 @@ def emit_colored_graph(G: ColoredGraph) -> str:
 
 
 def _sha256(path: str) -> str:
+    # imported on first use: hashlib maps OpenSSL, about 3.6 MB of resident
+    # memory that only the --json report needs
+    import hashlib
+
     try:
         with open(path, "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest()

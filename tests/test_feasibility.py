@@ -20,7 +20,7 @@ from z2cut.feasibility import (
     is_ths_feasible,
 )
 from z2cut.fpt_ths import FPTConfig, enumerate_connected_sets, solve_ths_fpt
-from z2cut.gf2 import GF2Matrix, kernel_basis, rank, solve
+from z2cut.gf2 import GF2Matrix, _insert, kernel_basis, rank, solve
 from z2cut.global_rand import random_bounding_cycle, random_nontrivial_cycle, solve_global_bnt
 from z2cut.homology import betti, homology_basis
 from z2cut.io_cli import emit_chain, emit_complex, main
@@ -227,18 +227,22 @@ def _projected_ranks(cols, target, S):
 
 
 def _check_grow_and_cut(inst, zeta, dim, sets, cols, target, reference):
-    """Grow each set in one pivot dict from {}, one member at a time; the
+    """Grow each set in one pivot dict from {}, inserting the mirrored row
+    of each member in turn; the set is a cut iff key 0 is stored, and that
     verdict must match ``cut`` and the oracle reference, and the ranks a
     column elimination of the projected matrix M (∂ or ker ∂) and target
-    (zeta or x0).  Deleting the returned keys in reverse order gives back
-    each smaller set's dict, down to {}."""
+    (zeta or x0).  Each insertion stores at most one key, so deleting those
+    keys in reverse order gives back each smaller set's dict, down to {}."""
     K = inst.K
+    rows = inst.mirrored_rows()
+    assert len(rows) == K.n(dim)
     for members in sets:
         pivots = {}
         before, keys = [], []
         for i in members:
             before.append(dict(pivots))
-            keys.append(inst.grow(pivots, i))
+            keys.append(_insert(pivots, rows[i])[0].bit_length() - 1)
+            assert len(pivots) == len(before[-1]) + (keys[-1] >= 0), members
         grown = 0 in pivots
         S = K.chain(dim, [K.simplices[dim][i] for i in members])
         verdict, ranks = inst.cut(S.support.bits)

@@ -70,6 +70,11 @@ def test_connected_set_enumeration_matches_brute_force(n, edges, k):
         assert set(got) == {S for S in brute if min(S) == v}, v
 
 
+def test_connected_set_enumeration_rejects_a_node_outside_the_graph():
+    with pytest.raises(InputError):
+        enumerate_connected_sets({0: {1}, 1: {0}}, 5, 2)
+
+
 def test_component_graph_fixture():
     K, zeta = gen_canonical("component-graph")
     cfg = FPTConfig(k=4)
@@ -178,6 +183,26 @@ def test_feasible_counts_are_pinned(torus):
             cfg = FPTConfig(k=k)
             solve_ths_fpt(K, zeta, cfg)
             assert cfg.stats["feasible"] == feasible, k
+
+
+def test_stats_are_pinned(torus):
+    # every stats field at k = opt and opt - 1 on the three classes of the
+    # Csaszar torus and the genus-2 cycle: a walk that visits or skips other
+    # sets, or starts other centers, changes these counts
+    K, _ = torus
+    cases = [(K, zeta) for zeta in _classes(K)] + [gen_canonical("genus-g", {"g": 2})]
+    pinned = [  # per k: candidates, max_per_center, feasible, pruned
+        {6: (1241, 764, 1, 185), 5: (709, 232, 0, 185)},
+        {6: (1274, 764, 1, 220), 5: (742, 232, 0, 220)},
+        {6: (1241, 579, 1, 267), 5: (816, 196, 0, 160)},
+        {6: (1250, 774, 1, 207), 5: (708, 232, 0, 207)},
+    ]
+    for (K, zeta), want in zip(cases, pinned):
+        for k, counts in want.items():
+            cfg = FPTConfig(k=k)
+            assert (solve_ths_fpt(K, zeta, cfg) is None) == (k == 5)
+            got = tuple(cfg.stats[f] for f in ("candidates", "max_per_center", "feasible", "pruned"))
+            assert got == counts, (zeta.support.bits, k)
 
 
 def test_pruned_search_visits_at_most_every_connected_set(torus):

@@ -125,8 +125,9 @@ def _count_work(monkeypatch):
 
 
 def test_global_solvers_build_and_eliminate_the_boundary_once(torus, monkeypatch):
-    """Every trial shares one ∂_2 and its elimination, and each record is
-    what the one-cycle solver gives on that trial's draw."""
+    """Every trial shares one ∂_2 and its elimination, the homology basis
+    and the global THS check share one ∂_1 and its elimination, and each
+    record is what the one-cycle solver gives on that trial's draw."""
     T = build_complex(grid_torus_triangles(4), (0, 2))
     shape = (T.n(1), T.n(2))
     built, eliminated = _count_work(monkeypatch)
@@ -141,11 +142,11 @@ def test_global_solvers_build_and_eliminate_the_boundary_once(torus, monkeypatch
                        "success": is_global_bnt_solution(T, 1, sol).verdict}
 
     K = torus[0]
-    shape = (K.n(1), K.n(2))
     built, eliminated = _count_work(monkeypatch)
     run = RandomizedRun(seed=4, trials=3)
     solve_global_ths(K, 1, FPTConfig(k=6), seed=4, trials=3, run=run)
-    assert built.count(2) == 1 and eliminated.count(shape) == 1
+    assert built.count(2) == 1 and eliminated.count((K.n(1), K.n(2))) == 1
+    assert built.count(1) == 1 and eliminated.count((K.n(0), K.n(1))) == 1
     monkeypatch.undo()
     for t, rec in enumerate(run.records):
         zeta = random_nontrivial_cycle(K, 1, 4 + t)
